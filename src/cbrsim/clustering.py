@@ -15,14 +15,23 @@ Election variants
 
 A node's aggregate mobility is the mean of squared pairwise relative-mobility
 samples, one sample per live neighbor, computed from that neighbor's two most
-recent hello reception powers.
+recent hello reception powers.  It is computed when read and cached until the
+table changes: hello receipt and expiry only mark it stale, and elections
+compare the value as of the last hello sent, so the sum runs about once per
+hello sent rather than once per hello received.
+
+Hello tables are derived once, by the sender: a hello carries its table as a
+read-only, id-ordered mapping together with the set of heads it lists over a
+bidirectional link, and every receiver's neighbor entry shares both objects.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 
 from .config import Protocol
 from .errors import InvariantError
@@ -40,6 +49,14 @@ class LinkDirection(Enum):
     UNI_FROM_NEIGHBOR = "uni"   # we hear them; they have not yet listed us
     BIDIRECTIONAL = "bidir"
 
+
+# Module-level aliases: the hot scans compare against these by identity, and
+# an enum class attribute lookup costs ten times a global read.
+BIDIRECTIONAL = LinkDirection.BIDIRECTIONAL
+UNI_FROM_NEIGHBOR = LinkDirection.UNI_FROM_NEIGHBOR
+CLUSTER_HEAD = Role.CLUSTER_HEAD
+MEMBER = Role.MEMBER
+UNDECIDED = Role.UNDECIDED
 
 HELLO_BASE_BYTES = 20
 HELLO_ENTRY_BYTES = 8
@@ -60,15 +77,32 @@ WARMUP_ROUNDS = 2.2
 PATIENCE_EXTRA_ROUNDS = 2.0
 
 
+NeighborTable = Mapping[int, tuple[bool, Role]]  # id -> (bidirectional, role)
+
+
+def advertised_head_ids(table: NeighborTable) -> frozenset[int]:
+    """Heads a neighbor table lists over a bidirectional link."""
+    return frozenset(
+        nid for nid, (bidir, role) in table.items() if bidir and role is CLUSTER_HEAD
+    )
+
+
 @dataclass(frozen=True)
 class HelloMessage:
     """Periodic 1-hop broadcast: sender identity, role, mobility value, and a
-    snapshot of the sender's neighbor table as (id, direction, role) triples."""
+    snapshot of the sender's neighbor table.
+
+    The sender derives the table once: ``neighbor_table`` maps neighbor id to
+    (bidirectional, role) in id order behind a read-only proxy, and
+    ``advertised_heads`` holds the heads it lists over a bidirectional link.
+    Every receiver shares both objects; none copies or rebuilds them.
+    """
 
     sender_id: int
     sender_role: Role
     sender_mobility: float
-    neighbor_list: tuple[tuple[int, bool, Role], ...]
+    neighbor_table: NeighborTable
+    advertised_heads: frozenset[int]
     size_bytes: int
     created_at: float
 
@@ -85,12 +119,18 @@ class NeighborEntry:
     last_rx_power: float
     rel_mobility: float | None
     expires_at: float
-    # Neighbor's own table from its last hello: id -> (bidirectional, role).
-    advertised_neighbors: dict[int, tuple[bool, Role]]
+    # Neighbor's own table from its last hello, shared with the hello.
+    advertised_neighbors: NeighborTable
+    # advertised_head_ids(advertised_neighbors); derived when not supplied.
+    advertised_heads: frozenset[int] | None = None
+
+    def __post_init__(self) -> None:
+        if self.advertised_heads is None:
+            self.advertised_heads = advertised_head_ids(self.advertised_neighbors)
 
     @property
     def bidirectional(self) -> bool:
-        return self.link is LinkDirection.BIDIRECTIONAL
+        return self.link is BIDIRECTIONAL
 
 
 @dataclass
@@ -100,7 +140,6 @@ class NodeClusterState:
     hello_interval: float
     neighbor_timeout: float
     role: Role = Role.UNDECIDED
-    own_mobility: float = 0.0
     # The value the rest of the neighborhood currently knows us by: own
     # mobility as of our last hello.  Elections compare broadcast values on
     # both sides so that contending nodes reach consistent verdicts.
@@ -108,6 +147,21 @@ class NodeClusterState:
     neighbors: dict[int, NeighborEntry] = field(default_factory=dict)
     head_ids: set[int] = field(default_factory=set)
     undecided_since: float = 0.0
+    # Cached own_mobility; None marks it stale after the table changed.
+    _mobility: float | None = field(default=0.0, init=False, repr=False)
+
+    @property
+    def own_mobility(self) -> float:
+        """Aggregate mobility over the live samples, in table order."""
+        if self._mobility is None:
+            self._mobility = aggregate_mobility(
+                [e.rel_mobility for e in self.neighbors.values() if e.rel_mobility is not None]
+            )
+        return self._mobility
+
+    @own_mobility.setter
+    def own_mobility(self, value: float) -> None:
+        self._mobility = value
 
     @property
     def warmup_until(self) -> float:
@@ -158,35 +212,30 @@ def hello_size_bytes(entry_count: int, protocol: Protocol) -> int:
 
 def build_hello(state: NodeClusterState, now: float) -> HelloMessage:
     """Snapshot the node's table into a hello broadcast."""
-    entries = tuple(
-        (nid, e.bidirectional, e.role) for nid, e in sorted(state.neighbors.items())
+    table = MappingProxyType(
+        {nid: (e.link is BIDIRECTIONAL, e.role) for nid, e in sorted(state.neighbors.items())}
     )
-    state.broadcast_mobility = state.own_mobility
+    mobility = state.own_mobility
+    state.broadcast_mobility = mobility
     return HelloMessage(
         sender_id=state.node_id,
         sender_role=state.role,
-        sender_mobility=state.own_mobility,
-        neighbor_list=entries,
-        size_bytes=hello_size_bytes(len(entries), state.protocol),
+        sender_mobility=mobility,
+        neighbor_table=table,
+        advertised_heads=advertised_head_ids(table),
+        size_bytes=hello_size_bytes(len(table), state.protocol),
         created_at=now,
-    )
-
-
-def _recompute_own_mobility(state: NodeClusterState) -> None:
-    state.own_mobility = aggregate_mobility(
-        [e.rel_mobility for e in state.neighbors.values() if e.rel_mobility is not None]
     )
 
 
 def on_hello_received(
     state: NodeClusterState, hello: HelloMessage, rx_power: float, now: float
 ) -> ElectionOutcome:
-    """Fold a received hello into the table, refresh the mobility metric, and
-    run the election step.  Returns the resulting role transition."""
+    """Fold a received hello into the table, mark the mobility metric stale,
+    and run the election step.  Returns the resulting role transition."""
     sid = hello.sender_id
-    hears_us = any(nid == state.node_id for nid, _, _ in hello.neighbor_list)
-    link = LinkDirection.BIDIRECTIONAL if hears_us else LinkDirection.UNI_FROM_NEIGHBOR
-    advertised = {nid: (bidir, role) for nid, bidir, role in hello.neighbor_list}
+    advertised = hello.neighbor_table
+    link = BIDIRECTIONAL if state.node_id in advertised else UNI_FROM_NEIGHBOR
     entry = state.neighbors.get(sid)
     if entry is None:
         state.neighbors[sid] = NeighborEntry(
@@ -199,6 +248,7 @@ def on_hello_received(
             rel_mobility=None,
             expires_at=now + state.neighbor_timeout,
             advertised_neighbors=advertised,
+            advertised_heads=hello.advertised_heads,
         )
     else:
         entry.link = link
@@ -209,7 +259,8 @@ def on_hello_received(
         entry.rel_mobility = relative_mobility(rx_power, entry.prev_rx_power)
         entry.expires_at = now + state.neighbor_timeout
         entry.advertised_neighbors = advertised
-    _recompute_own_mobility(state)
+        entry.advertised_heads = hello.advertised_heads
+    state._mobility = None
     old_role = state.role
     send = run_election(state, now)
     check_invariants(state)
@@ -224,15 +275,18 @@ def expire_neighbors(
     for nid in removed:
         del state.neighbors[nid]
     if removed:
-        _recompute_own_mobility(state)
+        state._mobility = None
     old_role = state.role
     send = run_election(state, now)
     check_invariants(state)
     return removed, ElectionOutcome(old_role, state.role, send)
 
 
+_CBRP = Protocol.CBRP
+
+
 def run_election(state: NodeClusterState, now: float) -> bool:
-    if state.protocol is Protocol.CBRP:
+    if state.protocol is _CBRP:
         return elect_lid(state, now)
     return elect_cross(state, now)
 
@@ -241,22 +295,22 @@ def _bidirectional_head_ids(state: NodeClusterState) -> set[int]:
     return {
         nid
         for nid, e in state.neighbors.items()
-        if e.bidirectional and e.role is Role.CLUSTER_HEAD
+        if e.link is BIDIRECTIONAL and e.role is CLUSTER_HEAD
     }
 
 
 def _become_head(state: NodeClusterState) -> None:
-    state.role = Role.CLUSTER_HEAD
+    state.role = CLUSTER_HEAD
     state.head_ids = {state.node_id}
 
 
 def _become_member(state: NodeClusterState, heads: set[int]) -> None:
-    state.role = Role.MEMBER
+    state.role = MEMBER
     state.head_ids = set(heads)
 
 
 def _become_undecided(state: NodeClusterState, now: float) -> None:
-    state.role = Role.UNDECIDED
+    state.role = UNDECIDED
     state.head_ids = set()
     state.undecided_since = now
 
@@ -271,7 +325,7 @@ def _competitors(state: NodeClusterState, now: float):
     return [
         e
         for e in state.neighbors.values()
-        if e.bidirectional and not (relax and e.role is Role.MEMBER)
+        if e.link is BIDIRECTIONAL and not (relax and e.role is MEMBER)
     ]
 
 
@@ -282,13 +336,14 @@ def elect_lid(state: NodeClusterState, now: float) -> bool:
     declared itself head, or dropped back to undecided).
     """
     send = False
-    if state.role is Role.CLUSTER_HEAD:
+    role = state.role
+    if role is CLUSTER_HEAD:
         # Head duel: only an adjacent lower-id head unseats us.
         rivals = _bidirectional_head_ids(state)
         if rivals and min(rivals) < state.node_id:
             _become_member(state, rivals)
         return send
-    if state.role is Role.MEMBER:
+    if role is MEMBER:
         heads = _bidirectional_head_ids(state)
         if heads:
             state.head_ids = heads
@@ -296,7 +351,7 @@ def elect_lid(state: NodeClusterState, now: float) -> bool:
         _become_undecided(state, now)
         send = True
         # Fall through: a member that lost its last head re-elects now.
-    if state.role is Role.UNDECIDED:
+    if state.role is UNDECIDED:
         if now < state.warmup_until:
             return send
         heads = _bidirectional_head_ids(state)
@@ -323,25 +378,26 @@ def elect_cross(state: NodeClusterState, now: float) -> bool:
     """Aggregate-mobility election: strictly lowest value wins, ties fall back
     to lowest id.  Same least-cluster-change damping as the base variant."""
     send = False
-    if state.role is Role.CLUSTER_HEAD:
+    role = state.role
+    if role is CLUSTER_HEAD:
         rival_entries = [
             e
             for e in state.neighbors.values()
-            if e.bidirectional and e.role is Role.CLUSTER_HEAD
+            if e.link is BIDIRECTIONAL and e.role is CLUSTER_HEAD
         ]
         if rival_entries:
             best = min(_neighbor_mobility_key(e) for e in rival_entries)
             if best < _mobility_key(state):
                 _become_member(state, {e.neighbor_id for e in rival_entries})
         return send
-    if state.role is Role.MEMBER:
+    if role is MEMBER:
         heads = _bidirectional_head_ids(state)
         if heads:
             state.head_ids = heads
             return send
         _become_undecided(state, now)
         send = True
-    if state.role is Role.UNDECIDED:
+    if state.role is UNDECIDED:
         if now < state.warmup_until:
             return send
         heads = _bidirectional_head_ids(state)
@@ -362,18 +418,18 @@ def gateway_set(state: NodeClusterState) -> set[int]:
     Derived on demand from the members' advertised tables; gateway is never a
     stored role.
     """
-    if state.role is not Role.CLUSTER_HEAD:
+    if state.role is not CLUSTER_HEAD:
         return set()
     members = {
         nid: e
         for nid, e in state.neighbors.items()
-        if e.bidirectional and e.role is Role.MEMBER
+        if e.link is BIDIRECTIONAL and e.role is MEMBER
     }
     cluster_ids = {state.node_id} | members.keys()
     gateways = set()
     for mid, entry in members.items():
         for nid, (bidir, role) in entry.advertised_neighbors.items():
-            if bidir and nid not in cluster_ids and role is not Role.UNDECIDED:
+            if bidir and nid not in cluster_ids and role is not UNDECIDED:
                 gateways.add(mid)
                 break
     return gateways
@@ -386,17 +442,17 @@ def check_invariants(state: NodeClusterState) -> None:
     2-hop cluster diameter), a head lists exactly itself, and an undecided
     node lists nothing.
     """
-    if state.role is Role.CLUSTER_HEAD:
+    if state.role is CLUSTER_HEAD:
         if state.head_ids != {state.node_id}:
             raise InvariantError(
                 f"node {state.node_id}: head must list itself, got {state.head_ids}"
             )
-    elif state.role is Role.MEMBER:
+    elif state.role is MEMBER:
         if not state.head_ids:
             raise InvariantError(f"node {state.node_id}: member with no head")
         for hid in state.head_ids:
             e = state.neighbors.get(hid)
-            if e is None or not e.bidirectional or e.role is not Role.CLUSTER_HEAD:
+            if e is None or e.link is not BIDIRECTIONAL or e.role is not CLUSTER_HEAD:
                 raise InvariantError(
                     f"node {state.node_id}: head {hid} is not a bidirectional "
                     "cluster-head neighbor"

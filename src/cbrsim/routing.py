@@ -14,9 +14,9 @@ that destination starts a fresh discovery governed by the retry policy.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
-from .clustering import NodeClusterState, Role
+from .clustering import BIDIRECTIONAL, CLUSTER_HEAD, MEMBER, NodeClusterState
 from .errors import InvariantError
 from .traffic import DataPacket
 
@@ -99,17 +99,9 @@ def _completed_route(
     if cluster.node_id == target:
         return route
     entry = cluster.neighbors.get(target)
-    if entry is not None and entry.bidirectional:
+    if entry is not None and entry.link is BIDIRECTIONAL:
         return route + (target,)
     return None
-
-
-def _neighbor_heads_of(entry) -> set[int]:
-    return {
-        nid
-        for nid, (bidir, role) in entry.advertised_neighbors.items()
-        if bidir and role is Role.CLUSTER_HEAD
-    }
 
 
 def _forward_targets(cluster: NodeClusterState, route: tuple[int, ...]) -> list[int]:
@@ -124,17 +116,18 @@ def _forward_targets(cluster: NodeClusterState, route: tuple[int, ...]) -> list[
     """
     node_id = cluster.node_id
     exclude = set(route)
-    if cluster.role is Role.CLUSTER_HEAD:
+    role = cluster.role
+    if role is CLUSTER_HEAD:
         members = {
             nid: e
             for nid, e in cluster.neighbors.items()
-            if e.bidirectional and e.role is Role.MEMBER
+            if e.link is BIDIRECTIONAL and e.role is MEMBER
         }
         cluster_ids = {node_id} | members.keys()
         direct = {
             nid
             for nid, e in cluster.neighbors.items()
-            if e.bidirectional and e.role is Role.CLUSTER_HEAD and nid not in exclude
+            if e.link is BIDIRECTIONAL and e.role is CLUSTER_HEAD and nid not in exclude
         }
         gateway_for: dict[int, int] = {}
         borders = set()
@@ -142,23 +135,23 @@ def _forward_targets(cluster: NodeClusterState, route: tuple[int, ...]) -> list[
             if mid in exclude:
                 continue
             entry = members[mid]
-            for nid, (bidir, role) in entry.advertised_neighbors.items():
+            for nid, (bidir, adv_role) in entry.advertised_neighbors.items():
                 if not bidir or nid == node_id or nid in exclude:
                     continue
-                if role is Role.CLUSTER_HEAD and nid not in direct:
+                if adv_role is CLUSTER_HEAD and nid not in direct:
                     gateway_for.setdefault(nid, mid)  # lowest id: mids ascend
-                elif role is Role.MEMBER and nid not in cluster_ids:
+                elif adv_role is MEMBER and nid not in cluster_ids:
                     borders.add(mid)
         return sorted(direct | set(gateway_for.values()) | borders)
-    if cluster.role is Role.MEMBER:
+    if role is MEMBER:
         out = set()
         own_heads = cluster.head_ids
         for nid, e in cluster.neighbors.items():
-            if not e.bidirectional or nid in exclude:
+            if e.link is not BIDIRECTIONAL or nid in exclude:
                 continue
-            if e.role is Role.CLUSTER_HEAD:
+            if e.role is CLUSTER_HEAD:
                 out.add(nid)
-            elif e.role is Role.MEMBER and not (_neighbor_heads_of(e) & own_heads):
+            elif e.role is MEMBER and e.advertised_heads.isdisjoint(own_heads):
                 out.add(nid)  # member of a foreign cluster: gateway-pair hop
         return sorted(out)
     return []  # an undecided node neither forwards nor answers for others
@@ -169,7 +162,9 @@ def _make_copies(
 ) -> list[RouteRequestPacket]:
     size = control_size_bytes(len(route))
     return [
-        replace(rreq, recorded_route=route, next_hop=t, size_bytes=size)
+        RouteRequestPacket(
+            rreq.request_id, rreq.origin, rreq.target, route, t, size, rreq.created_at
+        )
         for t in targets
     ]
 
@@ -199,7 +194,7 @@ def originate_rreq(
     """
     node_id = cluster.node_id
     entry = cluster.neighbors.get(target)
-    if entry is not None and entry.bidirectional:
+    if entry is not None and entry.link is BIDIRECTIONAL:
         route = (node_id, target)
         router.cache[target] = CachedRoute(route, now)
         return OriginateResult(installed=route, packets=[])
@@ -215,11 +210,11 @@ def originate_rreq(
         size_bytes=control_size_bytes(1),
         created_at=now,
     )
-    if cluster.role is Role.CLUSTER_HEAD:
+    if cluster.role is CLUSTER_HEAD:
         # The source is its own head: no unicast hop, fan out directly.
         targets = _forward_targets(cluster, (node_id,))
         return OriginateResult(None, _make_copies(base, (node_id,), targets, now))
-    if cluster.role is Role.MEMBER and cluster.head_ids:
+    if cluster.role is MEMBER and cluster.head_ids:
         return OriginateResult(
             None, _make_copies(base, (node_id,), sorted(cluster.head_ids), now)
         )
@@ -269,7 +264,10 @@ def process_rrep(
         router.cache[destination] = CachedRoute(rrep.route, now)
         router.discoveries.pop(destination, None)
         return ("installed", destination)
-    return ("forward", replace(rrep, next_hop=rrep.route[idx - 1]))
+    return (
+        "forward",
+        RouteReplyPacket(rrep.route, rrep.route[idx - 1], rrep.size_bytes, rrep.created_at),
+    )
 
 
 def forward_data(

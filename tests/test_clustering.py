@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cbrsim.clustering import (
     Role,
+    advertised_head_ids,
     aggregate_mobility,
     build_hello,
     check_invariants,
@@ -394,3 +395,96 @@ def test_invariant_checker_accepts_consistent_states():
     add_neighbor(member, 1, role=Role.CLUSTER_HEAD)
     check_invariants(member)
     check_invariants(make_state(3))
+
+
+# -- derived-data caches (property) -------------------------------------------
+
+ROLES = st.sampled_from(list(Role))
+HELLO_STEP = st.tuples(
+    st.just("hello"),
+    st.integers(1, 6),  # sender
+    st.dictionaries(st.integers(0, 8), st.tuples(st.booleans(), ROLES), max_size=8),
+    ROLES,  # sender role
+    st.floats(1e-6, 1e3),  # reception power
+    st.floats(0.0, 50.0),  # sender's own mobility
+    st.floats(0.0, 2.0),  # time advance
+    st.booleans(),  # read the metric after this step
+)
+EXPIRY_STEP = st.tuples(st.just("expire"), st.floats(0.0, 5.0), st.booleans())
+
+
+def hello_with_table(sender_id, table, role, mobility, now):
+    sender = make_state(sender_id, role=role)
+    for nid, (bidir, nrole) in table.items():
+        if nid != sender_id:
+            add_neighbor(sender, nid, bidirectional=bidir, role=nrole)
+    sender.own_mobility = mobility
+    return build_hello(sender, now)
+
+
+def live_aggregate(state):
+    return aggregate_mobility(
+        [e.rel_mobility for e in state.neighbors.values() if e.rel_mobility is not None]
+    )
+
+
+@given(
+    protocol=st.sampled_from(list(Protocol)),
+    steps=st.lists(st.one_of(HELLO_STEP, EXPIRY_STEP), max_size=30),
+)
+@settings(max_examples=200, deadline=None)
+def test_caches_match_their_sources(protocol, steps):
+    state = make_state(0, protocol=protocol)
+    now = 0.0
+    sent = []  # (hello, table as it was built)
+    for step in steps:
+        if step[0] == "hello":
+            _, sid, table, role, power, mobility, dt, read = step
+            now += dt
+            hello = hello_with_table(sid, table, role, mobility, now)
+            sent.append((hello, dict(hello.neighbor_table)))
+            on_hello_received(state, hello, power, now)
+        else:
+            _, dt, read = step
+            now += dt
+            expire_neighbors(state, now)
+        if read:
+            assert state.own_mobility == live_aggregate(state)
+        for e in state.neighbors.values():
+            heads = {
+                nid for nid, (bidir, r) in e.advertised_neighbors.items()
+                if bidir and r is Role.CLUSTER_HEAD
+            }
+            assert e.advertised_heads == heads == advertised_head_ids(e.advertised_neighbors)
+    assert state.own_mobility == live_aggregate(state)
+    for hello, table in sent:
+        assert dict(hello.neighbor_table) == table
+        assert list(hello.neighbor_table) == sorted(table)
+        with pytest.raises(TypeError):
+            hello.neighbor_table[0] = (True, Role.CLUSTER_HEAD)
+
+
+def test_hello_table_is_shared_by_every_receiver():
+    sender = make_state(2)
+    add_neighbor(sender, 1, role=Role.CLUSTER_HEAD)
+    hello = build_hello(sender, 0.0)
+    receivers = [make_state(nid) for nid in (1, 3, 4)]
+    for r in receivers:
+        on_hello_received(r, hello, 1.0, now=0.0)
+    for r in receivers:
+        entry = r.neighbors[2]
+        assert entry.advertised_neighbors is hello.neighbor_table
+        assert entry.advertised_heads is hello.advertised_heads == {1}
+    assert receivers[0].neighbors[2].bidirectional  # node 1 is listed
+    assert not receivers[1].neighbors[2].bidirectional
+
+
+def test_mobility_is_summed_on_read_and_assignable():
+    state = make_state(1)
+    on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0, 0.0), 1.0, now=0.0)
+    on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0, 1.0), 10.0, now=1.0)
+    assert state.own_mobility == 100.0
+    state.own_mobility = 7.0  # direct assignment sticks until the table changes
+    assert state.own_mobility == 7.0
+    on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0, 2.0), 10.0, now=2.0)
+    assert state.own_mobility == 0.0
