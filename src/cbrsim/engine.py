@@ -62,6 +62,11 @@ class QueueOutcome(Enum):
     DROPPED_TAIL_DATA = "dropped_tail_data"
 
 
+_ACCEPTED = QueueOutcome.ACCEPTED
+_DROPPED_INCOMING = QueueOutcome.DROPPED_INCOMING
+_DROPPED_TAIL_DATA = QueueOutcome.DROPPED_TAIL_DATA
+
+
 class InterfaceQueue:
     """Drop-tail interface queue with control-packet priority.
 
@@ -69,56 +74,47 @@ class InterfaceQueue:
     appends at the tail.  A full queue discards an incoming data packet, while
     an incoming control packet evicts the newest queued data packet (a queue
     full of control packets discards the incoming one).  The packet being
-    transmitted is held outside the slots.
+    transmitted is held outside the queue.
+
+    Control and data wait in separate deques, so control-before-data order
+    holds by construction and the capacity check is one comparison.
     """
 
-    __slots__ = ("slots", "capacity", "busy_until", "transmitting", "_control_count")
+    __slots__ = ("_control", "_data", "capacity", "busy_until", "transmitting")
 
     def __init__(self, capacity: int):
-        self.slots: list = []
+        self._control: deque = deque()
+        self._data: deque = deque()
         self.capacity = capacity
         self.busy_until = 0.0
         self.transmitting = None
-        self._control_count = 0
+
+    def __len__(self) -> int:
+        return len(self._control) + len(self._data)
+
+    @property
+    def slots(self) -> tuple:
+        """Queued packets in transmission order: control, then data."""
+        return (*self._control, *self._data)
 
     def enqueue(self, packet) -> tuple[QueueOutcome, object | None]:
-        evicted = None
-        if packet.control:
-            if len(self.slots) >= self.capacity:
-                if self._control_count >= len(self.slots):
-                    self._check()
-                    return (QueueOutcome.DROPPED_INCOMING, None)
-                evicted = self.slots.pop()  # newest data packet
-                self.slots.insert(self._control_count, packet)
-                self._control_count += 1
-                self._check()
-                return (QueueOutcome.DROPPED_TAIL_DATA, evicted)
-            self.slots.insert(self._control_count, packet)
-            self._control_count += 1
-            self._check()
-            return (QueueOutcome.ACCEPTED, None)
-        if len(self.slots) >= self.capacity:
-            self._check()
-            return (QueueOutcome.DROPPED_INCOMING, None)
-        self.slots.append(packet)
-        self._check()
-        return (QueueOutcome.ACCEPTED, None)
+        control, data = self._control, self._data
+        size = len(control) + len(data)
+        if size > self.capacity:
+            raise InvariantError("interface queue above capacity")
+        if size < self.capacity:
+            (control if packet.control else data).append(packet)
+            return (_ACCEPTED, None)
+        if packet.control and data:
+            evicted = data.pop()  # newest data packet
+            control.append(packet)
+            return (_DROPPED_TAIL_DATA, evicted)
+        return (_DROPPED_INCOMING, None)
 
     def pop_head(self):
-        packet = self.slots.pop(0)
-        if packet.control:
-            self._control_count -= 1
-        self._check()
-        return packet
-
-    def _check(self) -> None:
-        if len(self.slots) > self.capacity:
-            raise InvariantError("interface queue above capacity")
-        if not (0 <= self._control_count <= len(self.slots)):
-            raise InvariantError("interface queue control count out of range")
-        for i, p in enumerate(self.slots):
-            if p.control != (i < self._control_count):
-                raise InvariantError("control-before-data ordering broken")
+        if self._control:
+            return self._control.popleft()
+        return self._data.popleft()
 
 
 @dataclass(slots=True)
@@ -187,7 +183,7 @@ class Simulation:
         self.flows: list[Flow] = flows
         self._data_packets: list[DataPacket] = []
         self.route_log: list[tuple[float, int, int, tuple[int, ...]]] = []
-        self._recent: deque = deque(maxlen=5000)
+        self._recent: deque = deque(maxlen=5000)  # (time, EventKind, payload head)
         self.trace_enabled = trace
         self.event_trace: list[tuple[float, int, str, str]] = []
         self.route_event_trace: list[tuple[float, str, int, int]] = []
@@ -247,26 +243,14 @@ class Simulation:
             raise RuntimeError("a Simulation instance runs once")
         duration = self.cfg.sim_duration
         heap = self._heap
+        heappop = heapq.heappop
+        remember = self._recent.append
+        handlers = self._HANDLERS
         while heap and heap[0][0] <= duration:
-            time, _, kind, payload = heapq.heappop(heap)
+            time, _, kind, payload = heappop(heap)
             self.now = time
-            self._recent.append((time, kind.name, payload[:1]))
-            if kind is EventKind.PACKET_DELIVERY:
-                self._on_packet_delivery(*payload)
-            elif kind is EventKind.TRANSMIT_COMPLETE:
-                self._on_transmit_complete(*payload)
-            elif kind is EventKind.HELLO_TIMER:
-                self._on_hello_timer(*payload)
-            elif kind is EventKind.TRAFFIC_EMIT:
-                self._on_traffic_emit(*payload)
-            elif kind is EventKind.WAYPOINT_ARRIVAL:
-                self._on_waypoint_arrival(*payload)
-            elif kind is EventKind.NEIGHBOR_EXPIRY_SCAN:
-                self._on_expiry_scan(*payload)
-            elif kind is EventKind.ROUTE_RETRY_TIMEOUT:
-                self._on_route_retry(*payload)
-            else:
-                self._on_trace_sample()
+            remember((time, kind, payload[:1]))
+            handlers[kind](self, *payload)
         self.now = duration
         self._sweep_unfinished()
         self._finished = True
@@ -350,7 +334,7 @@ class Simulation:
                         self.route_event_trace.append(
                             (self.now, "route_break", packet.flow_id, len(packet.route or ()))
                         )
-        if node.queue.slots:
+        if len(node.queue):
             self._start_transmission(node)
         if self.trace_enabled:
             self.event_trace.append(
@@ -567,5 +551,18 @@ class Simulation:
             self.schedule(next_time, EventKind.TRACE_SAMPLE, ())
 
     def recent_events(self) -> list[tuple]:
-        """Tail of the event stream, kept for post-mortem dumps."""
-        return list(self._recent)
+        """Tail of the event stream as (time, kind name, payload head), kept
+        for post-mortem dumps."""
+        return [(time, kind.name, head) for time, kind, head in self._recent]
+
+    # Event dispatch: each kind's handler, called with the event's payload.
+    _HANDLERS = {
+        EventKind.PACKET_DELIVERY: _on_packet_delivery,
+        EventKind.TRANSMIT_COMPLETE: _on_transmit_complete,
+        EventKind.HELLO_TIMER: _on_hello_timer,
+        EventKind.TRAFFIC_EMIT: _on_traffic_emit,
+        EventKind.WAYPOINT_ARRIVAL: _on_waypoint_arrival,
+        EventKind.NEIGHBOR_EXPIRY_SCAN: _on_expiry_scan,
+        EventKind.ROUTE_RETRY_TIMEOUT: _on_route_retry,
+        EventKind.TRACE_SAMPLE: _on_trace_sample,
+    }

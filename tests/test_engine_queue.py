@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import pytest
 
 from cbrsim.engine import InterfaceQueue, QueueOutcome
+from cbrsim.errors import InvariantError
 
 
 @dataclass
@@ -127,6 +128,26 @@ def test_randomized_sequences_match_reference(seed):
         labels_control = [p.control for p in q.slots]
         # control prefix, then data suffix
         assert labels_control == sorted(labels_control, reverse=True)
+
+
+def test_capacity_breach_raises():
+    q = InterfaceQueue(3)
+    for i in range(3):
+        q.enqueue(data(f"d{i}"))
+    q.capacity = 2  # the queue now holds more than it may
+    with pytest.raises(InvariantError, match="above capacity"):
+        q.enqueue(ctrl())
+
+
+def test_slots_view_is_read_only():
+    q = InterfaceQueue(5)
+    q.enqueue(data("d0"))
+    q.enqueue(ctrl("c0"))
+    with pytest.raises(TypeError):
+        q.slots[0] = ctrl("x")
+    with pytest.raises(AttributeError):
+        q.slots = []
+    assert [p.label for p in q.slots] == ["c0", "d0"]
 
 
 def test_transmission_time_of_512_bytes_at_2mbit():
