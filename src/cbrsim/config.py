@@ -8,8 +8,9 @@ follow the standard 100-node, 1000x1000 m, 250 m-range benchmark setup.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 from .errors import ConfigError
@@ -117,6 +118,12 @@ def _validate(cfg: ScenarioConfig) -> None:
     def fail(constraint: str, detail: str) -> None:
         raise ConfigError(f"constraint violated: {constraint} ({detail})")
 
+    # NaN compares false against every bound below, and inf passes the
+    # positivity checks, so non-finite values are refused up front.
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            fail(f"{f.name} is finite", f"{f.name}={value}")
     if cfg.node_count < 2:
         fail("node_count >= 2", f"node_count={cfg.node_count}")
     if cfg.area_width <= 0 or cfg.area_height <= 0:

@@ -161,6 +161,15 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--sim_duration", "nan"), ("--packet_rate", "nan"), ("--hello_interval", "inf"),
+     ("--link_rate", "inf"), ("--tx_range", "inf"), ("--area_width", "nan")],
+)
+def test_cli_non_finite_value_exits_2(tmp_path, flag, value):
+    assert main([flag, value, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_cli_unknown_sweep_axis_exits_2(fast_cfg_file, tmp_path):
     assert main([
         "--config", str(fast_cfg_file), "--sweep", "altitude=1,2",

@@ -161,3 +161,38 @@ def test_placement_mean_converges_to_area_center():
         pts = generate_initial_placement(cfg, random.Random(seed))
         xs.extend(p[0] for p in pts)
     assert abs(np.mean(xs) - 500.0) < 30.0
+
+
+FLOAT_FIELDS = [
+    "area_width",
+    "area_height",
+    "max_speed",
+    "min_speed",
+    "pause_time",
+    "tx_range",
+    "sim_duration",
+    "hello_interval",
+    "neighbor_timeout",
+    "packet_rate",
+    "link_rate",
+    "path_loss_exponent",
+    "tx_power",
+    "formation_grace",
+    "rreq_timeout",
+    "traffic_start",
+    "traffic_stop",
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_constructor_rejects_non_finite_floats(key, value):
+    with pytest.raises(ConfigError, match=f"{key} is finite"):
+        ScenarioConfig(**{key: float(value)})
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_parse_config_rejects_non_finite_floats(key, value):
+    with pytest.raises(ConfigError, match=f"{key} is finite"):
+        parse_config(f"{key}={value}\n")
