@@ -282,11 +282,8 @@ def expire_neighbors(
     return removed, ElectionOutcome(old_role, state.role, send)
 
 
-_CBRP = Protocol.CBRP
-
-
 def run_election(state: NodeClusterState, now: float) -> bool:
-    if state.protocol is _CBRP:
+    if state.protocol is Protocol.CBRP:
         return elect_lid(state, now)
     return elect_cross(state, now)
 
@@ -336,14 +333,13 @@ def elect_lid(state: NodeClusterState, now: float) -> bool:
     declared itself head, or dropped back to undecided).
     """
     send = False
-    role = state.role
-    if role is CLUSTER_HEAD:
+    if state.role is CLUSTER_HEAD:
         # Head duel: only an adjacent lower-id head unseats us.
         rivals = _bidirectional_head_ids(state)
         if rivals and min(rivals) < state.node_id:
             _become_member(state, rivals)
         return send
-    if role is MEMBER:
+    if state.role is MEMBER:
         heads = _bidirectional_head_ids(state)
         if heads:
             state.head_ids = heads
@@ -378,8 +374,7 @@ def elect_cross(state: NodeClusterState, now: float) -> bool:
     """Aggregate-mobility election: strictly lowest value wins, ties fall back
     to lowest id.  Same least-cluster-change damping as the base variant."""
     send = False
-    role = state.role
-    if role is CLUSTER_HEAD:
+    if state.role is CLUSTER_HEAD:
         rival_entries = [
             e
             for e in state.neighbors.values()
@@ -390,7 +385,7 @@ def elect_cross(state: NodeClusterState, now: float) -> bool:
             if best < _mobility_key(state):
                 _become_member(state, {e.neighbor_id for e in rival_entries})
         return send
-    if role is MEMBER:
+    if state.role is MEMBER:
         heads = _bidirectional_head_ids(state)
         if heads:
             state.head_ids = heads

@@ -116,8 +116,7 @@ def _forward_targets(cluster: NodeClusterState, route: tuple[int, ...]) -> list[
     """
     node_id = cluster.node_id
     exclude = set(route)
-    role = cluster.role
-    if role is CLUSTER_HEAD:
+    if cluster.role is CLUSTER_HEAD:
         members = {
             nid: e
             for nid, e in cluster.neighbors.items()
@@ -135,15 +134,15 @@ def _forward_targets(cluster: NodeClusterState, route: tuple[int, ...]) -> list[
             if mid in exclude:
                 continue
             entry = members[mid]
-            for nid, (bidir, adv_role) in entry.advertised_neighbors.items():
+            for nid, (bidir, role) in entry.advertised_neighbors.items():
                 if not bidir or nid == node_id or nid in exclude:
                     continue
-                if adv_role is CLUSTER_HEAD and nid not in direct:
+                if role is CLUSTER_HEAD and nid not in direct:
                     gateway_for.setdefault(nid, mid)  # lowest id: mids ascend
-                elif adv_role is MEMBER and nid not in cluster_ids:
+                elif role is MEMBER and nid not in cluster_ids:
                     borders.add(mid)
         return sorted(direct | set(gateway_for.values()) | borders)
-    if role is MEMBER:
+    if cluster.role is MEMBER:
         out = set()
         own_heads = cluster.head_ids
         for nid, e in cluster.neighbors.items():
