@@ -13,7 +13,6 @@ and says in its change notes why the rows moved.
 from __future__ import annotations
 
 import shutil
-import sys
 from pathlib import Path
 
 from cbrsim import ExperimentPlan, Protocol, ScenarioConfig, SweepAxis, run_sweep
@@ -64,4 +63,3 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         write_golden(Path(tmp))
-    sys.exit(0)
