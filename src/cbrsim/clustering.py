@@ -172,11 +172,16 @@ class NodeClusterState:
         return self.neighbor_timeout + PATIENCE_EXTRA_ROUNDS * self.hello_interval
 
 
-@dataclass(frozen=True)
 class ElectionOutcome:
-    old_role: Role
-    new_role: Role
-    send_hello: bool
+    """The role transition of one election step, and whether it calls for a
+    triggered hello.  A plain slotted class: one is built per hello receipt."""
+
+    __slots__ = ("old_role", "new_role", "send_hello")
+
+    def __init__(self, old_role: Role, new_role: Role, send_hello: bool):
+        self.old_role = old_role
+        self.new_role = new_role
+        self.send_hello = send_hello
 
     @property
     def changed(self) -> bool:

@@ -13,6 +13,15 @@ count as forwarding failures.  Per-node interface queues hold control packets
 (hello, route request, route reply) ahead of all data, and a control packet
 arriving at a full queue evicts the newest data packet rather than being
 lost.
+
+A hello broadcast is delivered in one pass.  When its transmission completes,
+every node's position is read once, and the nodes in range are listed in id
+order with their distances from the sender.  One delivery event then hands
+the hello to each of them in that order.  One event per receiver would run
+the same way: those events would carry consecutive sequence numbers at one
+instant, so no other event could run between them, and whatever they
+schedule comes after the last of them.  Reception power, with its fading
+draw, is evaluated at delivery, in receiver order.
 """
 
 from __future__ import annotations
@@ -46,6 +55,10 @@ from .traffic import DataPacket, Flow, generate_flows
 
 
 class EventKind(Enum):
+    # Identity hash: the run loop looks up a handler per event, and Enum's own
+    # __hash__ is a Python-level call.
+    __hash__ = object.__hash__
+
     PACKET_DELIVERY = "packet_delivery"
     HELLO_TIMER = "hello_timer"
     TRAFFIC_EMIT = "traffic_emit"
@@ -54,6 +67,9 @@ class EventKind(Enum):
     TRANSMIT_COMPLETE = "transmit_complete"
     ROUTE_RETRY_TIMEOUT = "route_retry_timeout"
     TRACE_SAMPLE = "trace_sample"
+
+
+RECENT_EVENTS = 5000  # rows kept for recent_events()
 
 
 class QueueOutcome(Enum):
@@ -181,9 +197,9 @@ class Simulation:
         if flows is None:
             flows = generate_flows(cfg, random.Random(f"{seed}:flows"))
         self.flows: list[Flow] = flows
-        self._data_packets: list[DataPacket] = []
+        self._in_flight: dict[int, DataPacket] = {}  # id -> emitted, not yet classified
         self.route_log: list[tuple[float, int, int, tuple[int, ...]]] = []
-        self._recent: deque = deque(maxlen=5000)  # (time, EventKind, payload head)
+        self._recent: deque = deque(maxlen=RECENT_EVENTS)  # (time, EventKind, payload head)
         self.trace_enabled = trace
         self.event_trace: list[tuple[float, int, str, str]] = []
         self.route_event_trace: list[tuple[float, str, int, int]] = []
@@ -257,10 +273,10 @@ class Simulation:
         return finalize(self.ledger, self.cfg)
 
     def _sweep_unfinished(self) -> None:
-        for pkt in self._data_packets:
-            if pkt.fate is None:
-                pkt.fate = FATE_IN_FLIGHT
-                self.ledger.in_flight_at_horizon += 1
+        for pkt in self._in_flight.values():
+            pkt.fate = FATE_IN_FLIGHT
+            self.ledger.in_flight_at_horizon += 1
+        self._in_flight.clear()
 
     # -- transmission path --------------------------------------------------
 
@@ -288,25 +304,17 @@ class Simulation:
         if packet is None:
             raise InvariantError(f"node {node_id} completed an idle transmission")
         node.queue.transmitting = None
-        pos = self.position_of(node, self.now)
+        now = self.now
         range_sq = self.cfg.tx_range * self.cfg.tx_range
         if isinstance(packet, HelloMessage):
             self.ledger.hello_sent += 1
-            for other in self.nodes:
-                if other.node_id == node_id:
-                    continue
-                opos = self.position_of(other, self.now)
-                dx = opos[0] - pos[0]
-                dy = opos[1] - pos[1]
-                if dx * dx + dy * dy <= range_sq:
-                    self.schedule(
-                        self.now,
-                        EventKind.PACKET_DELIVERY,
-                        (other.node_id, packet, node_id),
-                    )
+            receivers = self._hello_receivers(node_id, range_sq)
+            if receivers:
+                self.schedule(now, EventKind.PACKET_DELIVERY, (receivers, packet, node_id))
         else:
+            pos = self.position_of(node, now)
             next_hop = packet.next_hop
-            opos = self.position_of(self.nodes[next_hop], self.now)
+            opos = self.position_of(self.nodes[next_hop], now)
             dx = opos[0] - pos[0]
             dy = opos[1] - pos[1]
             reachable = dx * dx + dy * dy <= range_sq
@@ -341,21 +349,33 @@ class Simulation:
                 (self.now, node_id, "transmit_complete", type(packet).__name__)
             )
 
+    def _hello_receivers(self, sender_id: int, range_sq: float) -> list[tuple[int, float]]:
+        """(node id, distance) of every node a hello from ``sender_id`` reaches
+        now, in id order; each node's position is read once."""
+        position_of, now = self.position_of, self.now
+        positions = [position_of(other, now) for other in self.nodes]
+        sx, sy = positions[sender_id]
+        receivers = []
+        for other_id, (x, y) in enumerate(positions):
+            dx = x - sx
+            dy = y - sy
+            if dx * dx + dy * dy <= range_sq and other_id != sender_id:
+                # Same bits as math.dist(sender position, receiver position).
+                receivers.append((other_id, math.hypot(dx, dy)))
+        return receivers
+
     # -- reception path -----------------------------------------------------
 
-    def _on_packet_delivery(self, recipient_id: int, packet, sender_id: int) -> None:
-        node = self.nodes[recipient_id]
-        if self.trace_enabled:
-            self.event_trace.append(
-                (self.now, recipient_id, "receive", type(packet).__name__)
-            )
+    def _on_packet_delivery(self, recipient, packet, sender_id: int) -> None:
+        """Deliver ``packet`` from ``sender_id``.  ``recipient`` is a node id,
+        or for a hello the (node id, distance) list from ``_hello_receivers``."""
         if isinstance(packet, HelloMessage):
-            sender_pos = self.position_of(self.nodes[sender_id], self.now)
-            own_pos = self.position_of(node, self.now)
-            rx_power = self._reception_gain(math.dist(sender_pos, own_pos))
-            outcome = clustering.on_hello_received(node.cluster, packet, rx_power, self.now)
-            self._apply_election_outcome(node, outcome)
-        elif isinstance(packet, RouteRequestPacket):
+            self._deliver_hello(recipient, packet)
+            return
+        node = self.nodes[recipient]
+        if self.trace_enabled:
+            self.event_trace.append((self.now, recipient, "receive", type(packet).__name__))
+        if isinstance(packet, RouteRequestPacket):
             result = routing.process_rreq(node.router, node.cluster, packet, self.now)
             if result.reply is not None:
                 self._enqueue_packet(node, result.reply)
@@ -387,6 +407,17 @@ class Simulation:
             else:
                 packet.next_hop = successor
                 self._enqueue_packet(node, packet)
+
+    def _deliver_hello(self, receivers: list[tuple[int, float]], hello: HelloMessage) -> None:
+        now, nodes = self.now, self.nodes
+        trace = self.event_trace if self.trace_enabled else None
+        for recipient_id, distance in receivers:
+            node = nodes[recipient_id]
+            if trace is not None:
+                trace.append((now, recipient_id, "receive", type(hello).__name__))
+            rx_power = self._reception_gain(distance)
+            outcome = clustering.on_hello_received(node.cluster, hello, rx_power, now)
+            self._apply_election_outcome(node, outcome)
 
     def _apply_election_outcome(self, node: Node, outcome) -> None:
         if outcome.changed:
@@ -436,7 +467,7 @@ class Simulation:
             created_at=self.now,
         )
         self.ledger.data_sent += 1
-        self._data_packets.append(packet)
+        self._in_flight[id(packet)] = packet
         self._dispatch_data(self.nodes[flow.src], packet)
         next_time = flow.start_time + (k + 1) / flow.rate
         if next_time < self.cfg.effective_traffic_stop:
@@ -514,6 +545,7 @@ class Simulation:
                 f"data packet classified twice: {packet.fate} then {fate}"
             )
         packet.fate = fate
+        del self._in_flight[id(packet)]
 
     def _drop_data(self, packet: DataPacket, fate: str) -> None:
         self._set_fate(packet, fate)
@@ -552,8 +584,15 @@ class Simulation:
 
     def recent_events(self) -> list[tuple]:
         """Tail of the event stream as (time, kind name, payload head), kept
-        for post-mortem dumps."""
-        return [(time, kind.name, head) for time, kind, head in self._recent]
+        for post-mortem dumps.  A hello fan-out yields one delivery row per
+        receiver, in id order."""
+        rows = []
+        for time, kind, head in self._recent:
+            if kind is EventKind.PACKET_DELIVERY and isinstance(head[0], list):
+                rows.extend((time, kind.name, (rid,)) for rid, _ in head[0])
+            else:
+                rows.append((time, kind.name, head))
+        return rows[-RECENT_EVENTS:]
 
     # Event dispatch: each kind's handler, called with the event's payload.
     _HANDLERS = {

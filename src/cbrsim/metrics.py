@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .clustering import Role
 from .config import ScenarioConfig
 from .errors import InvariantError
@@ -231,11 +229,29 @@ def aggregate(reports: list[RunReport]) -> dict[str, MetricStats]:
             )
     stats = {}
     for metric in SUMMARY_METRICS:
-        values = np.array([getattr(r, metric) for r in reports], dtype=float)
-        mean = float(np.mean(values))
-        std = float(np.std(values, ddof=1)) if len(values) > 1 else None
+        values = [getattr(r, metric) for r in reports]
+        mean = _mean(values)
+        std = _sample_std(values, mean) if len(values) > 1 else None
         stats[metric] = MetricStats(mean=mean, stddev=std, n=len(values))
     return stats
+
+
+def _sum(values: list[float]) -> float:
+    # Left to right in double precision on every Python version (from 3.12
+    # the built-in sum() compensates rounding, which would move last bits).
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _mean(values: list[float]) -> float:
+    return _sum(values) / len(values)
+
+
+def _sample_std(values: list[float], mean: float) -> float:
+    """Standard deviation with Bessel's correction (n - 1 denominator)."""
+    return math.sqrt(_sum([(v - mean) * (v - mean) for v in values]) / (len(values) - 1))
 
 
 @dataclass(frozen=True)
@@ -260,8 +276,8 @@ def paired_comparison(
     for metric in SUMMARY_METRICS:
         base_vals = [getattr(base_by_seed[s], metric) for s in shared]
         var_vals = [getattr(var_by_seed[s], metric) for s in shared]
-        base_mean = float(np.mean(base_vals))
-        var_mean = float(np.mean(var_vals))
+        base_mean = _mean(base_vals)
+        var_mean = _mean(var_vals)
         deltas = {s: v - b for s, b, v in zip(shared, base_vals, var_vals)}
         if base_mean == 0 or math.isnan(base_mean) or math.isnan(var_mean):
             pct = math.nan

@@ -1,10 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbrsim.config import Protocol
-from cbrsim.engine import EventKind, Simulation
+from cbrsim.clustering import build_hello
+from cbrsim.config import Protocol, ScenarioConfig
+from cbrsim.engine import RECENT_EVENTS, EventKind, Simulation
 from cbrsim.errors import InvariantError
+from cbrsim.metrics import FATE_NO_ROUTE, FATE_QUEUE
+from cbrsim.mobility import WaypointLeg
+from cbrsim.traffic import DataPacket
 from conftest import make_cfg, static_cfg
 
 
@@ -162,3 +168,153 @@ def test_static_durable_links_never_expire():
     for node in sim.nodes:
         assert len(node.cluster.neighbors) == cfg.node_count - 1
         assert all(e.bidirectional for e in node.cluster.neighbors.values())
+
+
+# -- one-pass hello fan-out -----------------------------------------------
+
+def _hello_only_static_sim(**overrides) -> Simulation:
+    """Five static nodes all in range of each other, with no data traffic: a
+    hello from any node reaches the other four, and every packet delivery is
+    a hello receipt."""
+    cfg = static_cfg(
+        node_count=5,
+        area_width=100.0,
+        area_height=100.0,
+        sim_duration=6.0,
+        hello_interval=1.0,
+        traffic_start=100.0,  # past the horizon: no flow ever emits
+    )
+    return Simulation(cfg, **overrides)
+
+
+def test_fan_out_rejects_a_node_whose_leg_has_ended():
+    # Catches a range scan that calls position_at directly instead of
+    # position_of (position_at raises ValueError, not InvariantError).
+    sim = _hello_only_static_sim()
+    sim.now = 2.0
+    stale = sim.nodes[3]
+    x, y = stale.leg.destination
+    stale.leg = WaypointLeg((x, y), (x, y), 1.0, 0.0, 0.5, 1.0)
+    sim.nodes[0].queue.transmitting = build_hello(sim.nodes[0].cluster, sim.now)
+    with pytest.raises(InvariantError, match="beyond node 3's leg"):
+        sim._on_transmit_complete(0)
+
+
+def test_traced_fan_out_keeps_one_receive_row_per_receiver():
+    # Catches a trace row written once per fan-out event instead of once per
+    # receiver, and receivers handled out of id order.
+    sim = _hello_only_static_sim(trace=True)
+    report = sim.run()
+    n = sim.cfg.node_count
+    sent = [
+        (t, sender)
+        for t, sender, what, kind in sim.event_trace
+        if what == "transmit_complete" and kind == "HelloMessage"
+    ]
+    received = [
+        (t, node)
+        for t, node, what, kind in sim.event_trace
+        if what == "receive" and kind == "HelloMessage"
+    ]
+    assert len(sent) == report.hello_sent > 0
+    assert received == [(t, r) for t, s in sent for r in range(n) if r != s]
+
+
+def test_recent_events_keep_one_delivery_row_per_receiver():
+    # Catches recent_events() returning the fan-out event as a single row (its
+    # head would hold the whole receiver list), or its receivers out of order;
+    # either would change the invariant_trace.csv format.
+    sim = _hello_only_static_sim()
+    sim.run()
+    rows = sim.recent_events()
+    n = sim.cfg.node_count
+    completions = [(t, head) for t, kind, head in rows if kind == "TRANSMIT_COMPLETE"]
+    deliveries = [(t, head) for t, kind, head in rows if kind == "PACKET_DELIVERY"]
+    assert completions
+    assert deliveries == [(t, (r,)) for t, (s,) in completions for r in range(n) if r != s]
+
+
+def test_recent_events_keep_the_last_rows():
+    sim = Simulation(make_cfg(sim_duration=120.0))
+    sim.run()
+    rows = sim.recent_events()
+    assert len(rows) == RECENT_EVENTS
+    assert rows[-1][0] <= 120.0
+    assert all(len(head) <= 1 and all(isinstance(v, int) for v in head) for _, _, head in rows)
+
+
+# -- bounded packet state ---------------------------------------------------
+
+def test_classified_packets_leave_the_in_flight_map():
+    # Catches a _set_fate that keeps classified packets (unbounded state) and
+    # one that no longer refuses a second classification.
+    sim = Simulation(make_cfg())
+    packet = DataPacket(flow_id=0, src=0, dst=1, size_bytes=512, created_at=0.0)
+    sim._in_flight[id(packet)] = packet
+    sim._drop_data(packet, FATE_QUEUE)
+    assert sim._in_flight == {}
+    with pytest.raises(InvariantError, match="classified twice"):
+        sim._drop_data(packet, FATE_NO_ROUTE)
+
+
+def test_horizon_sweep_empties_the_in_flight_map():
+    cfg = make_cfg(node_count=15, area_width=500.0, area_height=500.0,
+                   max_speed=20.0, sim_duration=30.0, flow_count=5, packet_rate=8.0,
+                   link_rate=16_000.0)
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert sim._in_flight == {}
+    assert report.in_flight_at_horizon > 0
+
+
+# -- whole-engine properties --------------------------------------------------
+
+@st.composite
+def small_scenarios(draw) -> ScenarioConfig:
+    n = draw(st.integers(2, 15))
+    shared = draw(st.booleans())
+    mobile = draw(st.booleans())
+    speed = draw(st.floats(1.0, 30.0)) if mobile else 0.0
+    return ScenarioConfig(
+        node_count=n,
+        area_width=draw(st.sampled_from([150.0, 400.0, 800.0])),
+        area_height=draw(st.sampled_from([150.0, 400.0])),
+        max_speed=speed,
+        min_speed=min(0.5, speed),
+        protocol=draw(st.sampled_from(list(Protocol))),
+        fading_enabled=draw(st.booleans()),
+        queue_capacity=draw(st.sampled_from([1, 1, 3, 50])),
+        link_rate=draw(st.sampled_from([8_000.0, 2_000_000.0])),  # very slow, or default
+        allow_shared_endpoints=shared,
+        flow_count=draw(st.integers(1, n if shared else n // 2)),
+        packet_rate=draw(st.sampled_from([1.0, 8.0])),
+        hello_interval=1.0,
+        neighbor_timeout=3.0,
+        rreq_timeout=1.0,
+        sim_duration=draw(st.sampled_from([5.0, 20.0])),
+        rng_seed=draw(st.integers(0, 1000)),
+    )
+
+
+@given(cfg=small_scenarios())
+@settings(max_examples=150, deadline=None)
+def test_whole_engine_runs_conserve_packets_and_replay(cfg):
+    # Catches any InvariantError an engine path can raise, a packet that ends
+    # up in no fate or in two, and state shared between runs.
+    first, second = Simulation(cfg), Simulation(cfg)
+    report = first.run()
+    assert (
+        report.data_delivered
+        + report.drop_queue
+        + report.drop_no_route
+        + report.drop_forward_fail
+        + report.in_flight_at_horizon
+    ) == report.data_sent
+    assert second.run() == report
+    assert second.ledger.role_changes == first.ledger.role_changes
+    assert second.route_log == first.route_log
+    # Both protocols see the same placement and flows for a seed.
+    other = [p for p in Protocol if p is not cfg.protocol][0]
+    twin = Simulation(cfg.with_overrides(protocol=other))
+    assert [n.leg for n in twin.nodes] == [n.leg for n in Simulation(cfg).nodes]
+    assert twin.flows == first.flows

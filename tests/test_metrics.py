@@ -1,6 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbrsim.clustering import Role
 from cbrsim.config import Protocol, ScenarioConfig
@@ -157,3 +160,15 @@ def test_paired_comparison_requires_shared_seeds():
     b = [sample_report(seed=1, protocol="cross-cbrp")]
     with pytest.raises(ValueError):
         paired_comparison(a, b)
+
+
+@given(st.lists(st.floats(0.0, 1e6), min_size=2, max_size=7))
+@settings(max_examples=200, deadline=None)
+def test_aggregate_matches_numpy_bit_for_bit(values):
+    # The summary used numpy's mean and ddof=1 std; the plain sums add left to
+    # right as numpy does below eight samples, so summary.csv keeps its bits.
+    np = pytest.importorskip("numpy")
+    reports = [replace(sample_report(seed=s), mean_delay_s=v) for s, v in enumerate(values)]
+    stats = aggregate(reports)["mean_delay_s"]
+    assert stats.mean == float(np.mean(values))
+    assert stats.stddev == float(np.std(values, ddof=1))
