@@ -13,12 +13,10 @@ from .clustering import (
     Role,
     aggregate_mobility,
     build_hello,
-    elect_cross,
-    elect_lid,
     expire_neighbors,
-    gateway_set,
     on_hello_received,
     relative_mobility,
+    run_election,
 )
 from .cli import ExperimentPlan, SweepAxis, run_single, run_sweep
 from .config import (
@@ -72,12 +70,9 @@ __all__ = [
     "aggregate_mobility",
     "build_hello",
     "channel_gain",
-    "elect_cross",
-    "elect_lid",
     "expire_neighbors",
     "finalize",
     "forward_data",
-    "gateway_set",
     "generate_flows",
     "generate_initial_placement",
     "in_range",
@@ -91,6 +86,7 @@ __all__ = [
     "process_rreq",
     "received_power",
     "relative_mobility",
+    "run_election",
     "run_single",
     "run_sweep",
     "serialize_config",

@@ -1,17 +1,18 @@
 """Per-node cluster state machine: hello protocol, neighbor tables, the
-received-power mobility metric, and both cluster-head election rules.
+received-power mobility metric, and the cluster-head election.
 
-Election variants
------------------
-* CBRP: an undecided node that holds the lowest id among its bidirectional,
-  not-yet-clustered neighbors declares itself cluster head; everyone with a
-  bidirectional link to a head joins it.  Maintenance is least-cluster-change:
-  members never challenge a head, and only when two heads acquire a
-  bidirectional link does the higher-id one step down.
-* Cross-CBRP: same structure, but candidates compare an aggregate mobility
-  value derived from successive hello reception powers; the strictly lowest
-  value wins and exact ties fall back to lowest id.  A member with lower
-  mobility than its head never triggers re-clustering.
+Election
+--------
+Both variants run one least-cluster-change election: an undecided node that
+outranks every bidirectional, not-yet-clustered neighbor declares itself
+cluster head; everyone with a bidirectional link to a head joins it; members
+never challenge a head, and only when two heads acquire a bidirectional link
+does the lower-ranked one step down.  The variants differ only in the rank:
+
+* CBRP: lowest id wins.
+* Cross-CBRP: lowest aggregate mobility wins, a value derived from
+  successive hello reception powers; exact ties fall back to lowest id.  A
+  member with lower mobility than its head never triggers re-clustering.
 
 A node's aggregate mobility is the mean of squared pairwise relative-mobility
 samples, one sample per live neighbor, computed from that neighbor's two most
@@ -28,7 +29,7 @@ bidirectional link, and every receiver's neighbor entry shares both objects.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
 from types import MappingProxyType
@@ -198,6 +199,15 @@ def relative_mobility(pr_new: float, pr_old: float) -> float:
     return 10.0 * math.log10(pr_new / pr_old)
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """Left-to-right double-precision sum, the same on every Python version
+    (from 3.12 the built-in ``sum()`` compensates rounding)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def aggregate_mobility(samples: list[float]) -> float:
     """Variance about zero (mean of squares) of relative-mobility samples.
 
@@ -205,7 +215,7 @@ def aggregate_mobility(samples: list[float]) -> float:
     """
     if not samples:
         return 0.0
-    return sum(s * s for s in samples) / len(samples)
+    return sum_in_order(s * s for s in samples) / len(samples)
 
 
 def hello_size_bytes(entry_count: int, protocol: Protocol) -> int:
@@ -287,20 +297,6 @@ def expire_neighbors(
     return removed, ElectionOutcome(old_role, state.role, send)
 
 
-def run_election(state: NodeClusterState, now: float) -> bool:
-    if state.protocol is Protocol.CBRP:
-        return elect_lid(state, now)
-    return elect_cross(state, now)
-
-
-def _bidirectional_head_ids(state: NodeClusterState) -> set[int]:
-    return {
-        nid
-        for nid, e in state.neighbors.items()
-        if e.link is BIDIRECTIONAL and e.role is CLUSTER_HEAD
-    }
-
-
 def _become_head(state: NodeClusterState) -> None:
     state.role = CLUSTER_HEAD
     state.head_ids = {state.node_id}
@@ -331,108 +327,61 @@ def _competitors(state: NodeClusterState, now: float):
     ]
 
 
-def elect_lid(state: NodeClusterState, now: float) -> bool:
-    """Lowest-ID election with least-cluster-change maintenance.
+def _outranks(state: NodeClusterState, rivals) -> bool:
+    """Whether the node ranks strictly ahead of every rival entry.
+
+    CBRP ranks by id alone.  Cross-CBRP ranks by ``(mobility, id)``, using
+    the node's broadcast value against each rival's advertised one; a rival
+    that never advertised a value ranks last.
+    """
+    if state.protocol is Protocol.CBRP:
+        me = state.node_id
+        return all(e.neighbor_id > me for e in rivals)
+    mine = (state.broadcast_mobility, state.node_id)
+    return all(
+        (math.inf if e.advertised_mobility is None else e.advertised_mobility, e.neighbor_id)
+        > mine
+        for e in rivals
+    )
+
+
+def run_election(state: NodeClusterState, now: float) -> bool:
+    """One election step with least-cluster-change maintenance.
+
+    Both protocols share it and differ only in the ranking ``_outranks``
+    applies: a head steps down only to an adjacent head that outranks it, a
+    member never challenges its head, and an undecided node joins any
+    adjacent head or else declares itself when it outranks every competitor.
 
     Returns True when the node should broadcast an immediate hello (it just
     declared itself head, or dropped back to undecided).
     """
-    send = False
+    neighbors = state.neighbors
+    heads = {
+        nid
+        for nid, e in neighbors.items()
+        if e.link is BIDIRECTIONAL and e.role is CLUSTER_HEAD
+    }
     if state.role is CLUSTER_HEAD:
-        # Head duel: only an adjacent lower-id head unseats us.
-        rivals = _bidirectional_head_ids(state)
-        if rivals and min(rivals) < state.node_id:
-            _become_member(state, rivals)
-        return send
+        if heads and not _outranks(state, [neighbors[h] for h in heads]):
+            _become_member(state, heads)
+        return False
+    send = False
     if state.role is MEMBER:
-        heads = _bidirectional_head_ids(state)
         if heads:
             state.head_ids = heads
-            return send
+            return False
         _become_undecided(state, now)
         send = True
         # Fall through: a member that lost its last head re-elects now.
-    if state.role is UNDECIDED:
-        if now < state.warmup_until:
-            return send
-        heads = _bidirectional_head_ids(state)
-        if heads:
-            _become_member(state, heads)
-            return send
-        if all(e.neighbor_id > state.node_id for e in _competitors(state, now)):
-            _become_head(state)
-            send = True
-    return send
-
-
-def _mobility_key(state: NodeClusterState) -> tuple[float, int]:
-    return (state.broadcast_mobility, state.node_id)
-
-
-def _neighbor_mobility_key(e: NeighborEntry) -> tuple[float, int]:
-    # A neighbor that never broadcast a mobility value must not win elections.
-    m = e.advertised_mobility if e.advertised_mobility is not None else math.inf
-    return (m, e.neighbor_id)
-
-
-def elect_cross(state: NodeClusterState, now: float) -> bool:
-    """Aggregate-mobility election: strictly lowest value wins, ties fall back
-    to lowest id.  Same least-cluster-change damping as the base variant."""
-    send = False
-    if state.role is CLUSTER_HEAD:
-        rival_entries = [
-            e
-            for e in state.neighbors.values()
-            if e.link is BIDIRECTIONAL and e.role is CLUSTER_HEAD
-        ]
-        if rival_entries:
-            best = min(_neighbor_mobility_key(e) for e in rival_entries)
-            if best < _mobility_key(state):
-                _become_member(state, {e.neighbor_id for e in rival_entries})
+    if now < state.warmup_until:
         return send
-    if state.role is MEMBER:
-        heads = _bidirectional_head_ids(state)
-        if heads:
-            state.head_ids = heads
-            return send
-        _become_undecided(state, now)
+    if heads:
+        _become_member(state, heads)
+    elif _outranks(state, _competitors(state, now)):
+        _become_head(state)
         send = True
-    if state.role is UNDECIDED:
-        if now < state.warmup_until:
-            return send
-        heads = _bidirectional_head_ids(state)
-        if heads:
-            _become_member(state, heads)
-            return send
-        mine = _mobility_key(state)
-        if all(_neighbor_mobility_key(e) > mine for e in _competitors(state, now)):
-            _become_head(state)
-            send = True
     return send
-
-
-def gateway_set(state: NodeClusterState) -> set[int]:
-    """Members of this head's cluster with a bidirectional link into another
-    cluster — the candidates for inter-cluster forwarding.
-
-    Derived on demand from the members' advertised tables; gateway is never a
-    stored role.
-    """
-    if state.role is not CLUSTER_HEAD:
-        return set()
-    members = {
-        nid: e
-        for nid, e in state.neighbors.items()
-        if e.link is BIDIRECTIONAL and e.role is MEMBER
-    }
-    cluster_ids = {state.node_id} | members.keys()
-    gateways = set()
-    for mid, entry in members.items():
-        for nid, (bidir, role) in entry.advertised_neighbors.items():
-            if bidir and nid not in cluster_ids and role is not UNDECIDED:
-                gateways.add(mid)
-                break
-    return gateways
 
 
 def check_invariants(state: NodeClusterState) -> None:

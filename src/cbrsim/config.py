@@ -71,7 +71,6 @@ class ScenarioConfig:
     path_loss_exponent: float = 2.0
     tx_power: float = 1.0
     rng_seed: int = 0
-    replications: int = 5
     allow_shared_endpoints: bool = False
     fading_enabled: bool = False
     formation_grace: float | None = None
@@ -168,8 +167,6 @@ def _validate(cfg: ScenarioConfig) -> None:
              f"path_loss_exponent={cfg.path_loss_exponent}")
     if cfg.tx_power <= 0:
         fail("tx_power > 0", f"tx_power={cfg.tx_power}")
-    if cfg.replications < 1:
-        fail("replications >= 1", f"replications={cfg.replications}")
     if cfg.formation_grace is not None and cfg.formation_grace < 0:
         fail("formation_grace >= 0", f"formation_grace={cfg.formation_grace}")
     if cfg.rreq_timeout <= 0:
@@ -183,37 +180,14 @@ def _validate(cfg: ScenarioConfig) -> None:
              f"start={cfg.traffic_start}, stop={cfg.traffic_stop}")
 
 
-# One parser per config key.  Aliases let older key spellings keep working.
+# One parser per config key, in field order, chosen by the field's annotation
+# text (annotations here are postponed) with any ``| None`` dropped.
+_TYPE_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "Protocol": parse_protocol}
 _FIELD_PARSERS = {
-    "node_count": int,
-    "area_width": float,
-    "area_height": float,
-    "max_speed": float,
-    "min_speed": float,
-    "pause_time": float,
-    "tx_range": float,
-    "sim_duration": float,
-    "protocol": parse_protocol,
-    "hello_interval": float,
-    "neighbor_timeout": float,
-    "flow_count": int,
-    "packet_rate": float,
-    "packet_size": int,
-    "queue_capacity": int,
-    "link_rate": float,
-    "path_loss_exponent": float,
-    "tx_power": float,
-    "rng_seed": int,
-    "replications": int,
-    "allow_shared_endpoints": _parse_bool,
-    "fading_enabled": _parse_bool,
-    "formation_grace": float,
-    "rreq_timeout": float,
-    "rreq_max_retries": int,
-    "traffic_start": float,
-    "traffic_stop": float,
+    f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in fields(ScenarioConfig)
 }
 
+# Aliases let older key spellings keep working.
 _KEY_ALIASES = {
     "hello_interval_BI": "hello_interval",
     "neighbor_timeout_TP": "neighbor_timeout",

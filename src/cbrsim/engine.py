@@ -148,7 +148,7 @@ class Simulation:
     """One simulation run: engine state, protocol state, and the ledger.
 
     Strictly single-threaded; parallelism belongs across independent
-    replications with distinct seeds.
+    runs with distinct seeds.
     """
 
     def __init__(
@@ -245,12 +245,12 @@ class Simulation:
         return position_at(leg, t)
 
     def _reception_gain(self, distance: float) -> float:
-        # The neighbor table stores reception power in units of the configured
-        # transmit power, so election outcomes depend on ratios alone.
-        # Placements can put two nodes inside the close-in reference distance;
-        # the model saturates there.
+        # Received power at the configured transmit power.  The mobility metric
+        # reads only ratios of successive powers, so elections do not depend on
+        # its absolute scale.  Placements can put two nodes inside the close-in
+        # reference distance; the model saturates there.
         d = max(distance, self.channel.reference_distance)
-        return channel_gain(self.channel, d, self._fading_rng)
+        return self.cfg.tx_power * channel_gain(self.channel, d, self._fading_rng)
 
     # -- run loop -----------------------------------------------------------
 

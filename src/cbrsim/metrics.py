@@ -1,12 +1,12 @@
 """Run accounting: per-event counters, the five per-run performance measures,
-and aggregation across replications."""
+and aggregation across seeds."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from .clustering import Role
+from .clustering import Role, sum_in_order
 from .config import ScenarioConfig
 from .errors import InvariantError
 
@@ -31,7 +31,7 @@ class MetricsLedger:
     hello_sent: int = 0
     rreq_sent: int = 0
     rrep_sent: int = 0
-    latencies: list[float] = field(default_factory=list)
+    latency_total: float = 0.0  # summed left to right as deliveries happen
     drop_queue: int = 0
     drop_no_route: int = 0
     drop_forward_fail: int = 0
@@ -58,7 +58,7 @@ class MetricsLedger:
     def record_delivery(self, latency: float, size_bytes: int) -> None:
         self.data_delivered += 1
         self.delivered_bytes += size_bytes
-        self.latencies.append(latency)
+        self.latency_total += latency
 
     def record_drop(self, cause: str) -> None:
         if cause == FATE_QUEUE:
@@ -98,35 +98,10 @@ class RunReport:
     rrep_losses: int
 
 
-CSV_COLUMNS = [
-    "protocol",
-    "seed",
-    "max_speed",
-    "packet_rate",
-    "ch_changes",
-    "pdr",
-    "throughput_bps",
-    "overhead_pkts",
-    "mean_delay_s",
-    "throughput_pps",
-    "data_sent",
-    "data_delivered",
-    "drop_queue",
-    "drop_no_route",
-    "drop_forward_fail",
-    "in_flight_at_horizon",
-    "hello_sent",
-    "rreq_sent",
-    "rrep_sent",
-    "rreq_losses",
-    "rrep_losses",
-]
+CSV_COLUMNS = [f.name for f in fields(RunReport)]
 
-_INT_COLUMNS = {
-    "seed", "ch_changes", "overhead_pkts", "data_sent", "data_delivered",
-    "drop_queue", "drop_no_route", "drop_forward_fail", "in_flight_at_horizon",
-    "hello_sent", "rreq_sent", "rrep_sent", "rreq_losses", "rrep_losses",
-}
+# Field.type holds the annotation's text: annotations here are postponed.
+_COLUMN_PARSERS = {"str": str, "int": int, "float": float}
 
 
 def report_to_row(report: RunReport) -> list[str]:
@@ -134,15 +109,9 @@ def report_to_row(report: RunReport) -> list[str]:
 
 
 def report_from_row(row: list[str]) -> RunReport:
-    values = {}
-    for col, text in zip(CSV_COLUMNS, row):
-        if col == "protocol":
-            values[col] = text
-        elif col in _INT_COLUMNS:
-            values[col] = int(text)
-        else:
-            values[col] = float(text)
-    return RunReport(**values)
+    return RunReport(
+        **{f.name: _COLUMN_PARSERS[f.type](text) for f, text in zip(fields(RunReport), row)}
+    )
 
 
 def finalize(ledger: MetricsLedger, cfg: ScenarioConfig) -> RunReport:
@@ -163,12 +132,9 @@ def finalize(ledger: MetricsLedger, cfg: ScenarioConfig) -> RunReport:
         raise InvariantError(
             f"packet conservation broken: sent {sent}, classified {total_classified}"
         )
-    if len(ledger.latencies) != ledger.data_delivered:
-        raise InvariantError("latency sample count does not match deliveries")
-    pdr = ledger.data_delivered / sent if sent else math.nan
-    mean_delay = (
-        sum(ledger.latencies) / len(ledger.latencies) if ledger.latencies else math.nan
-    )
+    delivered = ledger.data_delivered
+    pdr = delivered / sent if sent else math.nan
+    mean_delay = ledger.latency_total / delivered if delivered else math.nan
     return RunReport(
         protocol=cfg.protocol.value,
         seed=cfg.rng_seed,
@@ -209,7 +175,7 @@ class MetricStats:
 
 
 def aggregate(reports: list[RunReport]) -> dict[str, MetricStats]:
-    """Mean and sample standard deviation per metric over replications.
+    """Mean and sample standard deviation per metric over seeded runs.
 
     All reports must describe the same cell (protocol and sweep values equal,
     only the seed varying).
@@ -236,22 +202,13 @@ def aggregate(reports: list[RunReport]) -> dict[str, MetricStats]:
     return stats
 
 
-def _sum(values: list[float]) -> float:
-    # Left to right in double precision on every Python version (from 3.12
-    # the built-in sum() compensates rounding, which would move last bits).
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def _mean(values: list[float]) -> float:
-    return _sum(values) / len(values)
+    return sum_in_order(values) / len(values)
 
 
 def _sample_std(values: list[float], mean: float) -> float:
     """Standard deviation with Bessel's correction (n - 1 denominator)."""
-    return math.sqrt(_sum([(v - mean) * (v - mean) for v in values]) / (len(values) - 1))
+    return math.sqrt(sum_in_order([(v - mean) * (v - mean) for v in values]) / (len(values) - 1))
 
 
 @dataclass(frozen=True)

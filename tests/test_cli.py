@@ -170,6 +170,12 @@ def test_cli_non_finite_value_exits_2(tmp_path, flag, value):
     assert main([flag, value, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_cli_removed_replications_flag_exits_2(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--replications", "3", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+
+
 def test_cli_unknown_sweep_axis_exits_2(fast_cfg_file, tmp_path):
     assert main([
         "--config", str(fast_cfg_file), "--sweep", "altitude=1,2",

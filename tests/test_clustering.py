@@ -11,13 +11,11 @@ from cbrsim.clustering import (
     aggregate_mobility,
     build_hello,
     check_invariants,
-    elect_cross,
-    elect_lid,
     expire_neighbors,
-    gateway_set,
     hello_size_bytes,
     on_hello_received,
     relative_mobility,
+    run_election,
 )
 from cbrsim.config import Protocol
 from conftest import add_neighbor, make_state
@@ -81,6 +79,11 @@ def test_aggregate_all_zero():
 
 def test_aggregate_hand_value():
     assert aggregate_mobility([3.0, -4.0]) == pytest.approx(12.5, rel=1e-9)
+
+
+def test_aggregate_sums_squares_left_to_right():
+    # 1e16 + 1 rounds back to 1e16 twice; a compensated sum keeps the 2
+    assert aggregate_mobility([1e8, 1.0, 1.0]) == 1e16 / 3
 
 
 @given(st.lists(st.floats(-1e3, 1e3), max_size=40))
@@ -149,18 +152,18 @@ def test_lid_lowest_of_three_becomes_head():
         for other in nodes:
             if other != nid:
                 add_neighbor(state, other)
-    elect_lid(nodes[2], AFTER_WARMUP)
+    run_election(nodes[2], AFTER_WARMUP)
     assert nodes[2].role is Role.CLUSTER_HEAD
     for nid in (5, 9):
         nodes[nid].neighbors[2].role = Role.CLUSTER_HEAD
-        elect_lid(nodes[nid], AFTER_WARMUP)
+        run_election(nodes[nid], AFTER_WARMUP)
         assert nodes[nid].role is Role.MEMBER
         assert nodes[nid].head_ids == {2}
 
 
 def test_lid_isolated_node_heads_singleton():
     lone = make_state(4)
-    elect_lid(lone, AFTER_WARMUP)
+    run_election(lone, AFTER_WARMUP)
     assert lone.role is Role.CLUSTER_HEAD
     assert lone.head_ids == {4}
 
@@ -168,19 +171,19 @@ def test_lid_isolated_node_heads_singleton():
 def test_lid_head_duel_higher_id_steps_down():
     high = make_state(7, role=Role.CLUSTER_HEAD, head_ids={7})
     add_neighbor(high, 4, role=Role.CLUSTER_HEAD)
-    elect_lid(high, AFTER_WARMUP)
+    run_election(high, AFTER_WARMUP)
     assert high.role is Role.MEMBER
     assert high.head_ids == {4}
 
     low = make_state(4, role=Role.CLUSTER_HEAD, head_ids={4})
     add_neighbor(low, 7, role=Role.CLUSTER_HEAD)
-    elect_lid(low, AFTER_WARMUP)
+    run_election(low, AFTER_WARMUP)
     assert low.role is Role.CLUSTER_HEAD
 
 
 def test_lid_waits_for_warmup():
     state = make_state(1)
-    elect_lid(state, now=0.5)
+    run_election(state, now=0.5)
     assert state.role is Role.UNDECIDED
 
 
@@ -188,7 +191,7 @@ def test_lid_member_never_challenges_head():
     member = make_state(1, role=Role.MEMBER, head_ids={6})
     add_neighbor(member, 6, role=Role.CLUSTER_HEAD)
     add_neighbor(member, 9, role=Role.MEMBER)
-    elect_lid(member, AFTER_WARMUP)
+    run_election(member, AFTER_WARMUP)
     assert member.role is Role.MEMBER
     assert member.head_ids == {6}
 
@@ -200,10 +203,35 @@ def test_lid_blocked_by_lower_member_until_patience():
     add_neighbor(state, 2, role=Role.MEMBER)
     early = state.warmup_until + 0.1
     assert early < state.coverage_patience
-    elect_lid(state, early)
+    run_election(state, early)
     assert state.role is Role.UNDECIDED
-    elect_lid(state, state.coverage_patience + 0.1)
+    run_election(state, state.coverage_patience + 0.1)
     assert state.role is Role.CLUSTER_HEAD
+
+
+def test_lid_ignores_mobility_values():
+    # the lowest id wins although its own value is the highest and every
+    # neighbor advertises a calmer one
+    nodes = {
+        nid: make_state(nid, own_mobility=m, broadcast_mobility=m)
+        for nid, m in ((1, 9.0), (2, 0.5), (3, 0.1))
+    }
+    for nid, state in nodes.items():
+        for other, peer in nodes.items():
+            if other != nid:
+                add_neighbor(state, other, advertised_mobility=peer.broadcast_mobility)
+    for state in nodes.values():
+        run_election(state, AFTER_WARMUP)
+    assert [nodes[nid].role for nid in (1, 2, 3)] == [
+        Role.CLUSTER_HEAD, Role.UNDECIDED, Role.UNDECIDED
+    ]
+
+    head = make_state(
+        1, role=Role.CLUSTER_HEAD, head_ids={1}, own_mobility=9.0, broadcast_mobility=9.0
+    )
+    add_neighbor(head, 2, role=Role.CLUSTER_HEAD, advertised_mobility=0.5)
+    run_election(head, AFTER_WARMUP)
+    assert head.role is Role.CLUSTER_HEAD
 
 
 # -- mobility-aware election -------------------------------------------------
@@ -222,7 +250,7 @@ def test_cross_lowest_mobility_wins_tie_breaks_by_id():
             if other != nid:
                 add_neighbor(state, other, advertised_mobility=m)
     for nid in (1, 2, 3):
-        elect_cross(nodes[nid], AFTER_WARMUP)
+        run_election(nodes[nid], AFTER_WARMUP)
     assert nodes[2].role is Role.CLUSTER_HEAD
     assert nodes[1].role is Role.UNDECIDED  # blocked by lower-valued rivals
     assert nodes[3].role is Role.UNDECIDED  # loses the tie on id
@@ -234,9 +262,9 @@ def test_cross_total_tie_degenerates_to_lowest_id():
         for other in nodes:
             if other != nid:
                 add_neighbor(state, other, advertised_mobility=0.0)
-    elect_cross(nodes[2], AFTER_WARMUP)
+    run_election(nodes[2], AFTER_WARMUP)
     assert nodes[2].role is Role.CLUSTER_HEAD
-    elect_cross(nodes[5], AFTER_WARMUP)
+    run_election(nodes[5], AFTER_WARMUP)
     assert nodes[5].role is Role.UNDECIDED
 
 
@@ -246,7 +274,7 @@ def test_cross_head_duel_lower_value_survives():
         own_mobility=2.0, broadcast_mobility=2.0,
     )
     add_neighbor(stable, 1, role=Role.CLUSTER_HEAD, advertised_mobility=5.0)
-    elect_cross(stable, AFTER_WARMUP)
+    run_election(stable, AFTER_WARMUP)
     assert stable.role is Role.CLUSTER_HEAD
 
     mobile = make_state(
@@ -254,7 +282,7 @@ def test_cross_head_duel_lower_value_survives():
         own_mobility=5.0, broadcast_mobility=5.0,
     )
     add_neighbor(mobile, 9, role=Role.CLUSTER_HEAD, advertised_mobility=2.0)
-    elect_cross(mobile, AFTER_WARMUP)
+    run_election(mobile, AFTER_WARMUP)
     assert mobile.role is Role.MEMBER
     assert mobile.head_ids == {9}
 
@@ -266,7 +294,7 @@ def test_cross_member_with_lower_value_does_not_challenge():
         own_mobility=0.5, broadcast_mobility=0.5,
     )
     add_neighbor(member, 2, role=Role.CLUSTER_HEAD, advertised_mobility=3.0)
-    elect_cross(member, AFTER_WARMUP)
+    run_election(member, AFTER_WARMUP)
     assert member.role is Role.MEMBER
     assert member.head_ids == {2}
 
@@ -276,7 +304,7 @@ def test_cross_unknown_advertised_value_never_wins():
         8, protocol=Protocol.CROSS_CBRP, own_mobility=100.0, broadcast_mobility=100.0
     )
     add_neighbor(state, 9, advertised_mobility=None)
-    elect_cross(state, AFTER_WARMUP)
+    run_election(state, AFTER_WARMUP)
     assert state.role is Role.CLUSTER_HEAD
 
 
@@ -318,46 +346,7 @@ def test_expired_samples_leave_the_aggregate():
     assert state.own_mobility == pytest.approx(16.0, rel=1e-12)
 
 
-# -- gateways ----------------------------------------------------------------
-
-
-def test_gateway_set_two_lone_heads_is_empty():
-    a = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
-    add_neighbor(a, 6, role=Role.CLUSTER_HEAD)
-    assert gateway_set(a) == set()
-
-
-def test_gateway_set_member_bridging_two_clusters():
-    # member 4 of head 1 hears head 6 of another cluster
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
-    add_neighbor(
-        head, 4, role=Role.MEMBER,
-        advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
-    )
-    add_neighbor(head, 2, role=Role.MEMBER, advertised_neighbors={1: (True, Role.CLUSTER_HEAD)})
-    assert gateway_set(head) == {4}
-
-
-def test_gateway_set_ignores_links_inside_own_cluster():
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
-    add_neighbor(
-        head, 4, role=Role.MEMBER,
-        advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 2: (True, Role.MEMBER)},
-    )
-    add_neighbor(
-        head, 2, role=Role.MEMBER,
-        advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 4: (True, Role.MEMBER)},
-    )
-    assert gateway_set(head) == set()
-
-
-def test_gateway_set_ignores_undecided_strangers():
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
-    add_neighbor(
-        head, 4, role=Role.MEMBER,
-        advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 9: (True, Role.UNDECIDED)},
-    )
-    assert gateway_set(head) == set()
+# -- head contact ------------------------------------------------------------
 
 
 def test_adjacent_heads_resolve_within_one_hello_exchange():

@@ -22,7 +22,6 @@ def test_defaults_match_benchmark_setup():
     assert cfg.sim_duration == 300.0
     assert cfg.packet_size == 512
     assert cfg.queue_capacity == 50
-    assert cfg.replications == 5
 
 
 def test_parse_basic_file_with_defaults():
@@ -57,8 +56,10 @@ def test_parse_syntax_error_reports_line():
 
 
 def test_parse_unknown_key_reports_line():
-    with pytest.raises(ConfigError, match="line 1.*unknown key"):
-        parse_config("definitely_not_a_key=1")
+    # replications was a knob nothing read; it is gone, not ignored
+    for text in ("definitely_not_a_key=1", "replications=5"):
+        with pytest.raises(ConfigError, match="line 1.*unknown key"):
+            parse_config(text)
 
 
 def test_parse_bad_value_reports_line():

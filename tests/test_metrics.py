@@ -86,6 +86,15 @@ def test_throughput_hand_value():
     assert report.throughput_pps == pytest.approx(4.0, rel=1e-12)
 
 
+def test_mean_delay_sums_latencies_in_delivery_order():
+    # 1e16 + 1 rounds back to 1e16 twice; a compensated sum keeps the 2
+    led = fresh_ledger()
+    led.data_sent = 3
+    for latency in (1e16, 1.0, 1.0):
+        led.record_delivery(latency, 512)
+    assert finalize(led, finalize_cfg()).mean_delay_s == 1e16 / 3
+
+
 def test_conservation_enforced():
     led = fresh_ledger()
     led.data_sent = 3

@@ -145,6 +145,35 @@ def test_head_forwards_one_copy_per_neighboring_cluster():
     assert result.forwards[0].recorded_route == (9, 1)
 
 
+HEAD = {1: (True, Role.CLUSTER_HEAD)}  # a member's table entry for its head 1
+
+
+@pytest.mark.parametrize(
+    "neighbors, copies",
+    [
+        pytest.param({6: (Role.CLUSTER_HEAD, {})}, [6], id="adjacent-lone-head"),
+        pytest.param(
+            {
+                2: (Role.MEMBER, {**HEAD, 4: (True, Role.MEMBER)}),
+                4: (Role.MEMBER, {**HEAD, 2: (True, Role.MEMBER)}),
+            },
+            [],
+            id="links-inside-cluster",
+        ),
+        pytest.param(
+            {4: (Role.MEMBER, {**HEAD, 9: (True, Role.UNDECIDED)})}, [], id="undecided-stranger"
+        ),
+    ],
+)
+def test_head_copies_only_toward_other_clusters(neighbors, copies):
+    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
+    for nid, (role, table) in neighbors.items():
+        add_neighbor(head, nid, role=role, advertised_neighbors=table)
+    router = RouterState(node_id=1)
+    result = process_rreq(router, head, rreq((9, 6), 9, 42, (9,)), 0.0)
+    assert [p.next_hop for p in result.forwards] == copies
+
+
 def test_head_skips_clusters_already_on_route():
     head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
     add_neighbor(
