@@ -18,6 +18,7 @@ from cbrsim.clustering import (
     run_election,
 )
 from cbrsim.config import Protocol
+from cbrsim.routing import RouterState, RouteRequestPacket, control_size_bytes, process_rreq
 from conftest import add_neighbor, make_state
 
 AFTER_WARMUP = 100.0
@@ -365,6 +366,31 @@ def test_adjacent_heads_resolve_within_one_hello_exchange():
     assert b.role is Role.MEMBER and b.head_ids == {3}
     assert a.role is Role.CLUSTER_HEAD
     assert out_b.changed and not out_a.changed
+
+
+# -- gateways ----------------------------------------------------------------
+
+
+def test_gateway_set_member_bridging_two_clusters():
+    # member 4 of head 1 hears head 6 of another cluster; member 2 hears no
+    # one outside, so a head's request copy goes through 4 alone
+    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
+    add_neighbor(
+        head, 4, role=Role.MEMBER,
+        advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
+    )
+    add_neighbor(head, 2, role=Role.MEMBER, advertised_neighbors={1: (True, Role.CLUSTER_HEAD)})
+    request = RouteRequestPacket(
+        request_id=(9, 1),
+        origin=9,
+        target=42,
+        recorded_route=(9,),
+        next_hop=1,
+        size_bytes=control_size_bytes(1),
+        created_at=0.0,
+    )
+    result = process_rreq(RouterState(node_id=1), head, request, 0.0)
+    assert [p.next_hop for p in result.forwards] == [4]
 
 
 # -- state invariants --------------------------------------------------------
