@@ -18,7 +18,7 @@ from .clustering import (
     relative_mobility,
     run_election,
 )
-from .cli import ExperimentPlan, SweepAxis, run_single, run_sweep
+from .cli import ExperimentPlan, SweepAxis, run_sweep
 from .config import (
     Protocol,
     ScenarioConfig,
@@ -30,7 +30,7 @@ from .engine import EventKind, InterfaceQueue, QueueOutcome, Simulation
 from .errors import ConfigError, InvariantError
 from .metrics import MetricsLedger, RunReport, aggregate, finalize, paired_comparison
 from .mobility import WaypointLeg, next_leg, position_at
-from .radio import ChannelModel, channel_gain, in_range, received_power
+from .radio import ChannelModel, channel_gain, received_power
 from .routing import (
     RouteReplyPacket,
     RouteRequestPacket,
@@ -75,7 +75,6 @@ __all__ = [
     "forward_data",
     "generate_flows",
     "generate_initial_placement",
-    "in_range",
     "next_leg",
     "on_hello_received",
     "originate_rreq",
@@ -87,7 +86,6 @@ __all__ = [
     "received_power",
     "relative_mobility",
     "run_election",
-    "run_single",
     "run_sweep",
     "serialize_config",
 ]

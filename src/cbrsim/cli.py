@@ -100,11 +100,6 @@ class SweepResult:
         ]
 
 
-def run_single(cfg: ScenarioConfig, *, trace: bool = False) -> RunReport:
-    """Execute one simulation to its horizon and return the report row."""
-    return Simulation(cfg, trace=trace).run()
-
-
 def _axis_value_of(report: RunReport, axis: SweepAxis):
     if axis is SweepAxis.PACKET_RATE:
         return report.packet_rate

@@ -24,6 +24,13 @@ hello sent rather than once per hello received.
 Hello tables are derived once, by the sender: a hello carries its table as a
 read-only, id-ordered mapping together with the set of heads it lists over a
 bidirectional link, and every receiver's neighbor entry shares both objects.
+
+Each node keeps ``NodeClusterState.adjacent_heads``, the ids of its neighbors
+that have a bidirectional link and the head role, in place rather than
+rescanning its table per election.  ``set_link_role`` is the only writer of an
+entry's link and role, and the only code that adds to the set;
+``on_hello_received`` calls it, and ``expire_neighbors`` discards the ids it
+removes.
 """
 
 from __future__ import annotations
@@ -129,10 +136,6 @@ class NeighborEntry:
         if self.advertised_heads is None:
             self.advertised_heads = advertised_head_ids(self.advertised_neighbors)
 
-    @property
-    def bidirectional(self) -> bool:
-        return self.link is BIDIRECTIONAL
-
 
 @dataclass
 class NodeClusterState:
@@ -148,6 +151,8 @@ class NodeClusterState:
     neighbors: dict[int, NeighborEntry] = field(default_factory=dict)
     head_ids: set[int] = field(default_factory=set)
     undecided_since: float = 0.0
+    # Neighbors with a bidirectional link and the head role; see set_link_role.
+    adjacent_heads: set[int] = field(default_factory=set, init=False)
     # Cached own_mobility; None marks it stale after the table changed.
     _mobility: float | None = field(default=0.0, init=False, repr=False)
 
@@ -177,16 +182,13 @@ class ElectionOutcome:
     """The role transition of one election step, and whether it calls for a
     triggered hello.  A plain slotted class: one is built per hello receipt."""
 
-    __slots__ = ("old_role", "new_role", "send_hello")
+    __slots__ = ("old_role", "new_role", "send_hello", "changed")
 
     def __init__(self, old_role: Role, new_role: Role, send_hello: bool):
         self.old_role = old_role
         self.new_role = new_role
         self.send_hello = send_hello
-
-    @property
-    def changed(self) -> bool:
-        return self.old_role is not self.new_role
+        self.changed = old_role is not new_role
 
 
 def relative_mobility(pr_new: float, pr_old: float) -> float:
@@ -251,12 +253,13 @@ def on_hello_received(
     sid = hello.sender_id
     advertised = hello.neighbor_table
     link = BIDIRECTIONAL if state.node_id in advertised else UNI_FROM_NEIGHBOR
+    role = hello.sender_role
     entry = state.neighbors.get(sid)
     if entry is None:
-        state.neighbors[sid] = NeighborEntry(
+        entry = state.neighbors[sid] = NeighborEntry(
             neighbor_id=sid,
             link=link,
-            role=hello.sender_role,
+            role=role,
             advertised_mobility=hello.sender_mobility,
             prev_rx_power=None,
             last_rx_power=rx_power,
@@ -266,8 +269,6 @@ def on_hello_received(
             advertised_heads=hello.advertised_heads,
         )
     else:
-        entry.link = link
-        entry.role = hello.sender_role
         entry.advertised_mobility = hello.sender_mobility
         entry.prev_rx_power = entry.last_rx_power
         entry.last_rx_power = rx_power
@@ -275,6 +276,7 @@ def on_hello_received(
         entry.expires_at = now + state.neighbor_timeout
         entry.advertised_neighbors = advertised
         entry.advertised_heads = hello.advertised_heads
+    set_link_role(state, entry, link, role)
     state._mobility = None
     old_role = state.role
     send = run_election(state, now)
@@ -289,12 +291,26 @@ def expire_neighbors(
     removed = [nid for nid, e in state.neighbors.items() if e.expires_at < now]
     for nid in removed:
         del state.neighbors[nid]
+        state.adjacent_heads.discard(nid)
     if removed:
         state._mobility = None
     old_role = state.role
     send = run_election(state, now)
     check_invariants(state)
     return removed, ElectionOutcome(old_role, state.role, send)
+
+
+def set_link_role(
+    state: NodeClusterState, entry: NeighborEntry, link: LinkDirection, role: Role
+) -> None:
+    """Set a table entry's link and role, keeping ``state.adjacent_heads`` in
+    step: the only code that writes either field of an entry in the table."""
+    entry.link = link
+    entry.role = role
+    if link is BIDIRECTIONAL and role is CLUSTER_HEAD:
+        state.adjacent_heads.add(entry.neighbor_id)
+    else:
+        state.adjacent_heads.discard(entry.neighbor_id)
 
 
 def _become_head(state: NodeClusterState) -> None:
@@ -356,20 +372,16 @@ def run_election(state: NodeClusterState, now: float) -> bool:
     Returns True when the node should broadcast an immediate hello (it just
     declared itself head, or dropped back to undecided).
     """
-    neighbors = state.neighbors
-    heads = {
-        nid
-        for nid, e in neighbors.items()
-        if e.link is BIDIRECTIONAL and e.role is CLUSTER_HEAD
-    }
+    heads = state.adjacent_heads
     if state.role is CLUSTER_HEAD:
-        if heads and not _outranks(state, [neighbors[h] for h in heads]):
+        if heads and not _outranks(state, [state.neighbors[h] for h in heads]):
             _become_member(state, heads)
         return False
     send = False
     if state.role is MEMBER:
         if heads:
-            state.head_ids = heads
+            if state.head_ids != heads:
+                state.head_ids = set(heads)
             return False
         _become_undecided(state, now)
         send = True

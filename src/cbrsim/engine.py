@@ -244,14 +244,6 @@ class Simulation:
             )
         return position_at(leg, t)
 
-    def _reception_gain(self, distance: float) -> float:
-        # Received power at the configured transmit power.  The mobility metric
-        # reads only ratios of successive powers, so elections do not depend on
-        # its absolute scale.  Placements can put two nodes inside the close-in
-        # reference distance; the model saturates there.
-        d = max(distance, self.channel.reference_distance)
-        return self.cfg.tx_power * channel_gain(self.channel, d, self._fading_rng)
-
     # -- run loop -----------------------------------------------------------
 
     def run(self) -> RunReport:
@@ -351,9 +343,17 @@ class Simulation:
 
     def _hello_receivers(self, sender_id: int, range_sq: float) -> list[tuple[int, float]]:
         """(node id, distance) of every node a hello from ``sender_id`` reaches
-        now, in id order; each node's position is read once."""
-        position_of, now = self.position_of, self.now
-        positions = [position_of(other, now) for other in self.nodes]
+        now, in id order; each node's position is read once, with the leg
+        check of ``position_of``."""
+        now = self.now
+        positions = []
+        for other in self.nodes:
+            leg = other.leg
+            if now > leg.pause_until:
+                raise InvariantError(
+                    f"position query at t={now} beyond node {other.node_id}'s leg"
+                )
+            positions.append(position_at(leg, now))
         sx, sy = positions[sender_id]
         receivers = []
         for other_id, (x, y) in enumerate(positions):
@@ -411,13 +411,21 @@ class Simulation:
     def _deliver_hello(self, receivers: list[tuple[int, float]], hello: HelloMessage) -> None:
         now, nodes = self.now, self.nodes
         trace = self.event_trace if self.trace_enabled else None
+        # Received power at the configured transmit power.  The mobility metric
+        # reads only ratios of successive powers, so elections do not depend on
+        # its absolute scale.  Placements can put two nodes inside the close-in
+        # reference distance; the model saturates there.
+        channel, rng = self.channel, self._fading_rng
+        tx_power = self.cfg.tx_power
+        d0 = channel.reference_distance
         for recipient_id, distance in receivers:
             node = nodes[recipient_id]
             if trace is not None:
                 trace.append((now, recipient_id, "receive", type(hello).__name__))
-            rx_power = self._reception_gain(distance)
+            rx_power = tx_power * channel_gain(channel, max(distance, d0), rng)
             outcome = clustering.on_hello_received(node.cluster, hello, rx_power, now)
-            self._apply_election_outcome(node, outcome)
+            if outcome.changed or outcome.send_hello:
+                self._apply_election_outcome(node, outcome)
 
     def _apply_election_outcome(self, node: Node, outcome) -> None:
         if outcome.changed:
@@ -498,12 +506,8 @@ class Simulation:
             self.route_log.append((self.now, node.node_id, destination, result.installed))
             self._flush_pending(node, destination)
             return
-        discovery = node.router.discoveries.get(destination)
-        if discovery is None:
-            discovery = routing.Discovery(request_id=(node.node_id, node.router.request_counter), attempts=0)
-            node.router.discoveries[destination] = discovery
-        discovery.attempts += 1
-        discovery.request_id = (node.node_id, node.router.request_counter)
+        attempts = node.router.discoveries.get(destination, 0) + 1
+        node.router.discoveries[destination] = attempts
         for packet in result.packets:
             self._enqueue_packet(node, packet)
         if self.trace_enabled:
@@ -511,18 +515,17 @@ class Simulation:
         self.schedule(
             self.now + self.cfg.rreq_timeout,
             EventKind.ROUTE_RETRY_TIMEOUT,
-            (node.node_id, destination, discovery.attempts),
+            (node.node_id, destination, attempts),
         )
 
     def _on_route_retry(self, node_id: int, destination: int, attempt: int) -> None:
         node = self.nodes[node_id]
-        discovery = node.router.discoveries.get(destination)
-        if discovery is None or discovery.attempts != attempt:
+        if node.router.discoveries.get(destination) != attempt:
             return  # answered or superseded in the meantime
         if destination in node.router.cache:
             node.router.discoveries.pop(destination, None)
             return
-        if discovery.attempts >= 1 + self.cfg.rreq_max_retries:
+        if attempt >= 1 + self.cfg.rreq_max_retries:
             node.router.discoveries.pop(destination, None)
             pending = node.router.pending.pop(destination, None)
             for packet in pending or ():

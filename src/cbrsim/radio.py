@@ -1,19 +1,16 @@
-"""Propagation model: power-law channel gain and disc connectivity.
+"""Propagation model: power-law channel gain.
 
 Received power follows an inverse n-th power law beyond a close-in reference
 distance.  Antenna gains and wavelength are folded into the single
 ``reference_gain`` constant: the mobility metric consumes only power ratios,
-where they cancel.  Connectivity itself is the deterministic tx_range disc;
-received power feeds the mobility metric only.
+where they cancel.  Connectivity itself is the deterministic tx_range disc,
+which the engine tests; received power feeds the mobility metric only.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-
-from .mobility import Position
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,3 @@ def received_power(
     if tx_power <= 0:
         raise ValueError(f"tx_power must be > 0, got {tx_power}")
     return tx_power * channel_gain(model, distance, rng)
-
-
-def in_range(a: Position, b: Position, tx_range: float) -> bool:
-    """True iff the two positions are within transmission range (closed disc)."""
-    return math.dist(a, b) <= tx_range

@@ -61,18 +61,13 @@ class CachedRoute:
 
 
 @dataclass
-class Discovery:
-    request_id: RequestId
-    attempts: int  # originations performed so far (first try included)
-
-
-@dataclass
 class RouterState:
     node_id: int
     cache: dict[int, CachedRoute] = field(default_factory=dict)
     pending: dict[int, deque[DataPacket]] = field(default_factory=dict)
     seen_requests: set[RequestId] = field(default_factory=set)
-    discoveries: dict[int, Discovery] = field(default_factory=dict)
+    # destination -> originations performed so far (first try included)
+    discoveries: dict[int, int] = field(default_factory=dict)
     request_counter: int = 0
 
 
@@ -123,11 +118,7 @@ def _forward_targets(cluster: NodeClusterState, route: tuple[int, ...]) -> list[
             if e.link is BIDIRECTIONAL and e.role is MEMBER
         }
         cluster_ids = {node_id} | members.keys()
-        direct = {
-            nid
-            for nid, e in cluster.neighbors.items()
-            if e.link is BIDIRECTIONAL and e.role is CLUSTER_HEAD and nid not in exclude
-        }
+        direct = cluster.adjacent_heads - exclude
         gateway_for: dict[int, int] = {}
         borders = set()
         for mid in sorted(members):

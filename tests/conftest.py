@@ -14,6 +14,7 @@ from cbrsim.clustering import (
     NeighborEntry,
     NodeClusterState,
     Role,
+    set_link_role,
 )
 from cbrsim.config import Protocol, ScenarioConfig
 
@@ -102,7 +103,15 @@ def add_neighbor(
         advertised_neighbors=advertised_neighbors or {},
     )
     state.neighbors[neighbor_id] = entry
+    set_link_role(state, entry, entry.link, entry.role)
     return entry
+
+
+def set_neighbor_role(state: NodeClusterState, neighbor_id: int, role: Role) -> None:
+    """Change the role a table entry records, through the same path a hello
+    receipt takes, so the state's adjacent-head set follows."""
+    entry = state.neighbors[neighbor_id]
+    set_link_role(state, entry, entry.link, role)
 
 
 def bidirectional_disc_adjacency(positions, tx_range):

@@ -12,13 +12,12 @@ from cbrsim.cli import (
     plan_from_args,
     build_parser,
     read_runs_csv,
-    run_single,
     run_sweep,
     summarize_runs,
 )
 from cbrsim.config import Protocol, ScenarioConfig
 from cbrsim.metrics import CSV_COLUMNS
-from conftest import child_env, make_cfg
+from conftest import child_env
 
 FAST = (
     "node_count=12\n"
@@ -42,11 +41,6 @@ def fast_cfg_file(tmp_path):
 
 def run_cli(args, cwd):
     return main([str(a) for a in args])
-
-
-def test_run_single_returns_report():
-    report = run_single(make_cfg(sim_duration=20.0))
-    assert report.data_sent > 0
 
 
 def test_cli_single_run_writes_one_row(fast_cfg_file, tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbrsim.clustering import (
+    LinkDirection,
     Role,
     advertised_head_ids,
     aggregate_mobility,
@@ -19,7 +20,7 @@ from cbrsim.clustering import (
 )
 from cbrsim.config import Protocol
 from cbrsim.routing import RouterState, RouteRequestPacket, control_size_bytes, process_rreq
-from conftest import add_neighbor, make_state
+from conftest import add_neighbor, make_state, set_neighbor_role
 
 AFTER_WARMUP = 100.0
 
@@ -113,7 +114,7 @@ def test_first_hello_creates_entry_without_rel_sample():
     assert entry.prev_rx_power is None
     assert entry.last_rx_power == 0.5
     assert entry.rel_mobility is None
-    assert not entry.bidirectional
+    assert entry.link is LinkDirection.UNI_FROM_NEIGHBOR
     assert outcome.old_role is Role.UNDECIDED
 
 
@@ -133,7 +134,7 @@ def test_hello_listing_us_makes_link_bidirectional():
     sender = make_state(2)
     add_neighbor(sender, 1)  # sender heard us already
     on_hello_received(receiver, hello_from(sender), 1.0, now=0.0)
-    assert receiver.neighbors[2].bidirectional
+    assert receiver.neighbors[2].link is LinkDirection.BIDIRECTIONAL
 
 
 def test_hello_sizes_differ_only_by_metric_field():
@@ -156,7 +157,7 @@ def test_lid_lowest_of_three_becomes_head():
     run_election(nodes[2], AFTER_WARMUP)
     assert nodes[2].role is Role.CLUSTER_HEAD
     for nid in (5, 9):
-        nodes[nid].neighbors[2].role = Role.CLUSTER_HEAD
+        set_neighbor_role(nodes[nid], 2, Role.CLUSTER_HEAD)
         run_election(nodes[nid], AFTER_WARMUP)
         assert nodes[nid].role is Role.MEMBER
         assert nodes[nid].head_ids == {2}
@@ -471,6 +472,12 @@ def test_caches_match_their_sources(protocol, steps):
                 if bidir and r is Role.CLUSTER_HEAD
             }
             assert e.advertised_heads == heads == advertised_head_ids(e.advertised_neighbors)
+        assert state.adjacent_heads == {
+            nid for nid, e in state.neighbors.items()
+            if e.link is LinkDirection.BIDIRECTIONAL and e.role is Role.CLUSTER_HEAD
+        }
+        if state.role is Role.MEMBER:
+            assert state.head_ids == state.adjacent_heads
     assert state.own_mobility == live_aggregate(state)
     for hello, table in sent:
         assert dict(hello.neighbor_table) == table
@@ -490,8 +497,8 @@ def test_hello_table_is_shared_by_every_receiver():
         entry = r.neighbors[2]
         assert entry.advertised_neighbors is hello.neighbor_table
         assert entry.advertised_heads is hello.advertised_heads == {1}
-    assert receivers[0].neighbors[2].bidirectional  # node 1 is listed
-    assert not receivers[1].neighbors[2].bidirectional
+    assert receivers[0].neighbors[2].link is LinkDirection.BIDIRECTIONAL  # node 1 is listed
+    assert receivers[1].neighbors[2].link is LinkDirection.UNI_FROM_NEIGHBOR
 
 
 def test_mobility_is_summed_on_read_and_assignable():

@@ -1,10 +1,13 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbrsim.clustering import build_hello
+import cbrsim.clustering
+import cbrsim.engine
+from cbrsim.clustering import LinkDirection, build_hello
 from cbrsim.config import Protocol, ScenarioConfig
 from cbrsim.engine import RECENT_EVENTS, EventKind, Simulation
 from cbrsim.errors import InvariantError
@@ -133,7 +136,7 @@ def test_every_member_heads_are_bidirectional_head_neighbors():
         if state.role.value == "member":
             for hid in state.head_ids:
                 entry = state.neighbors[hid]
-                assert entry.bidirectional
+                assert entry.link is LinkDirection.BIDIRECTIONAL
                 assert entry.role.value == "head"
 
 
@@ -167,7 +170,9 @@ def test_static_durable_links_never_expire():
     # dense static square: every pair within range, tables complete
     for node in sim.nodes:
         assert len(node.cluster.neighbors) == cfg.node_count - 1
-        assert all(e.bidirectional for e in node.cluster.neighbors.values())
+        assert all(
+            e.link is LinkDirection.BIDIRECTIONAL for e in node.cluster.neighbors.values()
+        )
 
 
 # -- one-pass hello fan-out -----------------------------------------------
@@ -188,8 +193,8 @@ def _hello_only_static_sim(**overrides) -> Simulation:
 
 
 def test_fan_out_rejects_a_node_whose_leg_has_ended():
-    # Catches a range scan that calls position_at directly instead of
-    # position_of (position_at raises ValueError, not InvariantError).
+    # Catches a range scan that reads a position without the engine's own leg
+    # check (position_at alone raises ValueError, not InvariantError).
     sim = _hello_only_static_sim()
     sim.now = 2.0
     stale = sim.nodes[3]
@@ -198,6 +203,46 @@ def test_fan_out_rejects_a_node_whose_leg_has_ended():
     sim.nodes[0].queue.transmitting = build_hello(sim.nodes[0].cluster, sim.now)
     with pytest.raises(InvariantError, match="beyond node 3's leg"):
         sim._on_transmit_complete(0)
+
+
+def test_fan_out_calls_positions_gains_and_receipts_by_module_name(monkeypatch):
+    # The benchmark's tracer counts these calls by wrapping the module
+    # attributes below.  Catches an engine that inlines one of them or binds it
+    # before the run, which would leave the traced count at zero.
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for owner, name in (
+        (cbrsim.engine, "position_at"),
+        (cbrsim.engine, "channel_gain"),
+        (cbrsim.clustering, "on_hello_received"),
+    ):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    sim = _hello_only_static_sim()
+    report = sim.run()
+    n = sim.cfg.node_count
+    assert report.hello_sent > 0
+    receptions = (n - 1) * report.hello_sent  # every hello reaches the other four
+    assert calls["channel_gain"] == calls["on_hello_received"] == receptions
+    assert calls["position_at"] == n * report.hello_sent
+
+
+def test_hello_reaches_a_node_exactly_at_range():
+    # The range disc is closed: a node exactly tx_range away hears the hello,
+    # one a centimetre beyond does not.
+    cfg = static_cfg(
+        node_count=3, area_width=600.0, area_height=100.0, tx_range=250.0, flow_count=1
+    )
+    sim = Simulation(cfg, placement=[(0.0, 50.0), (250.0, 50.0), (500.01, 50.0)])
+    range_sq = cfg.tx_range * cfg.tx_range
+    assert sim._hello_receivers(0, range_sq) == [(1, 250.0)]
+    assert sim._hello_receivers(2, range_sq) == []
 
 
 def test_traced_fan_out_keeps_one_receive_row_per_receiver():

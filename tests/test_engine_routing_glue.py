@@ -1,7 +1,7 @@
 """Engine-level routing behavior: forwarding failures, retry policy, drops."""
 
 from cbrsim.engine import Simulation
-from cbrsim.routing import CachedRoute, Discovery
+from cbrsim.routing import CachedRoute
 from cbrsim.traffic import Flow
 from conftest import static_cfg
 
@@ -58,16 +58,16 @@ def test_stale_retry_timeouts_are_ignored():
     cfg = two_island_cfg()
     sim = Simulation(cfg, placement=island_placement())
     node = sim.nodes[0]
-    node.router.discoveries[1] = Discovery(request_id=(0, 1), attempts=2)
+    node.router.discoveries[1] = 2
     sim._on_route_retry(0, 1, attempt=1)  # superseded by attempt 2
-    assert node.router.discoveries[1].attempts == 2
+    assert node.router.discoveries[1] == 2
 
 
 def test_retry_resolved_by_cached_route_clears_discovery():
     cfg = two_island_cfg()
     sim = Simulation(cfg, placement=island_placement())
     node = sim.nodes[0]
-    node.router.discoveries[1] = Discovery(request_id=(0, 1), attempts=1)
+    node.router.discoveries[1] = 1
     node.router.cache[1] = CachedRoute(hops=(0, 1), created_at=0.0)
     sim._on_route_retry(0, 1, attempt=1)
     assert 1 not in node.router.discoveries

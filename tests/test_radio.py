@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cbrsim.radio import ChannelModel, channel_gain, in_range, received_power
+from cbrsim.radio import ChannelModel, channel_gain, received_power
 
 
 def test_gain_at_reference_distance():
@@ -81,16 +81,3 @@ def test_fading_requires_rng():
     model = ChannelModel(fading_enabled=True)
     with pytest.raises(ValueError):
         channel_gain(model, 2.0)
-
-
-def test_in_range_boundary_closed():
-    a = (0.0, 0.0)
-    assert in_range(a, a, 250.0)
-    assert in_range(a, (250.0, 0.0), 250.0)
-    assert not in_range(a, (250.01, 0.0), 250.0)
-
-
-def test_in_range_symmetric():
-    a, b = (3.0, 4.0), (120.0, 88.0)
-    assert in_range(a, b, 150.0) == in_range(b, a, 150.0)
-    assert in_range(a, b, 50.0) == in_range(b, a, 50.0)
