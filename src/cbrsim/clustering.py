@@ -25,12 +25,13 @@ Hello tables are derived once, by the sender: a hello carries its table as a
 read-only, id-ordered mapping together with the set of heads it lists over a
 bidirectional link, and every receiver's neighbor entry shares both objects.
 
-Each node keeps ``NodeClusterState.adjacent_heads``, the ids of its neighbors
-that have a bidirectional link and the head role, in place rather than
-rescanning its table per election.  ``set_link_role`` is the only writer of an
-entry's link and role, and the only code that adds to the set;
-``on_hello_received`` calls it, and ``expire_neighbors`` discards the ids it
-removes.
+Each node keeps, in place rather than rescanning its table per election or
+per relayed route request, its neighbors that have a bidirectional link and
+the head role (``NodeClusterState.adjacent_heads``, a set of ids) or the member
+role (``adjacent_members``, their table entries by id; a dict takes about half
+the memory of a set of twenty ids).  ``set_link_role`` is the only writer of an
+entry's link and role, and the only code that adds to either; ``on_hello_received``
+calls it, and ``expire_neighbors`` discards the ids it removes.
 """
 
 from __future__ import annotations
@@ -151,8 +152,10 @@ class NodeClusterState:
     neighbors: dict[int, NeighborEntry] = field(default_factory=dict)
     head_ids: set[int] = field(default_factory=set)
     undecided_since: float = 0.0
-    # Neighbors with a bidirectional link and the head role; see set_link_role.
+    # Neighbors with a bidirectional link and the head (member) role; see
+    # set_link_role.
     adjacent_heads: set[int] = field(default_factory=set, init=False)
+    adjacent_members: dict[int, NeighborEntry] = field(default_factory=dict, init=False)
     # Cached own_mobility; None marks it stale after the table changed.
     _mobility: float | None = field(default=0.0, init=False, repr=False)
 
@@ -292,6 +295,7 @@ def expire_neighbors(
     for nid in removed:
         del state.neighbors[nid]
         state.adjacent_heads.discard(nid)
+        state.adjacent_members.pop(nid, None)
     if removed:
         state._mobility = None
     old_role = state.role
@@ -303,14 +307,21 @@ def expire_neighbors(
 def set_link_role(
     state: NodeClusterState, entry: NeighborEntry, link: LinkDirection, role: Role
 ) -> None:
-    """Set a table entry's link and role, keeping ``state.adjacent_heads`` in
-    step: the only code that writes either field of an entry in the table."""
+    """Set a table entry's link and role, keeping ``state.adjacent_heads`` and
+    ``state.adjacent_members`` in step: the only code that writes either field
+    of an entry in the table."""
     entry.link = link
     entry.role = role
-    if link is BIDIRECTIONAL and role is CLUSTER_HEAD:
-        state.adjacent_heads.add(entry.neighbor_id)
+    nid = entry.neighbor_id
+    heads, members = state.adjacent_heads, state.adjacent_members
+    if link is BIDIRECTIONAL and role is MEMBER:
+        members[nid] = entry
     else:
-        state.adjacent_heads.discard(entry.neighbor_id)
+        members.pop(nid, None)
+    if link is BIDIRECTIONAL and role is CLUSTER_HEAD:
+        heads.add(nid)
+    else:
+        heads.discard(nid)
 
 
 def _become_head(state: NodeClusterState) -> None:

@@ -22,6 +22,17 @@ the same way: those events would carry consecutive sequence numbers at one
 instant, so no other event could run between them, and whatever they
 schedule comes after the last of them.  Reception power, with its fading
 draw, is evaluated at delivery, in receiver order.
+
+Most events are deliveries scheduled for the instant they are sent, so those
+skip the heap.  ``schedule`` still draws a sequence number for every event, but
+one whose time equals ``now`` (and the time of the events already waiting
+there) joins a FIFO lane instead.  The lane's events share one time and
+ascending sequence numbers, so the lane is sorted by (time, sequence) as it
+stands.  The run loop pops the heap only when the heap's head sorts before the
+lane's head, which makes the dispatch order the merge of two sorted streams:
+the same order one heap gives.  An event inside the scheduler's 1e-9 s past
+slack sorts before the lane and goes to the heap; once it runs, ``now`` differs
+from the lane's time, so events scheduled at that instant go to the heap too.
 """
 
 from __future__ import annotations
@@ -163,6 +174,7 @@ class Simulation:
         self.cfg = cfg
         self.now = 0.0
         self._heap: list = []
+        self._lane: deque = deque()  # events at one instant, in seq order
         self._seq = itertools.count()
         self._finished = False
         seed = cfg.rng_seed
@@ -213,9 +225,15 @@ class Simulation:
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, time: float, kind: EventKind, payload: tuple) -> None:
-        if time < self.now - 1e-9:
+        now = self.now
+        if time == now:
+            lane = self._lane
+            if not lane or lane[0][0] == time:
+                lane.append((time, next(self._seq), kind, payload))
+                return
+        elif time < now - 1e-9:
             raise InvariantError(
-                f"scheduling into the past: t={time} < now={self.now} ({kind})"
+                f"scheduling into the past: t={time} < now={now} ({kind})"
             )
         heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
 
@@ -250,12 +268,21 @@ class Simulation:
         if self._finished:
             raise RuntimeError("a Simulation instance runs once")
         duration = self.cfg.sim_duration
-        heap = self._heap
-        heappop = heapq.heappop
+        heap, lane = self._heap, self._lane
+        heappop, lane_pop = heapq.heappop, lane.popleft
         remember = self._recent.append
         handlers = self._HANDLERS
-        while heap and heap[0][0] <= duration:
-            time, _, kind, payload = heappop(heap)
+        while True:
+            # The earlier head by (time, seq) runs next; sequence numbers are
+            # unique, so the tuple comparison never reaches the kind.
+            if lane and not (heap and heap[0] < lane[0]):
+                if lane[0][0] > duration:
+                    break
+                time, _, kind, payload = lane_pop()
+            elif heap and heap[0][0] <= duration:
+                time, _, kind, payload = heappop(heap)
+            else:
+                break
             self.now = time
             remember((time, kind, payload[:1]))
             handlers[kind](self, *payload)
@@ -292,10 +319,11 @@ class Simulation:
 
     def _on_transmit_complete(self, node_id: int) -> None:
         node = self.nodes[node_id]
-        packet = node.queue.transmitting
+        queue = node.queue
+        packet = queue.transmitting
         if packet is None:
             raise InvariantError(f"node {node_id} completed an idle transmission")
-        node.queue.transmitting = None
+        queue.transmitting = None
         now = self.now
         range_sq = self.cfg.tx_range * self.cfg.tx_range
         if isinstance(packet, HelloMessage):
@@ -304,37 +332,39 @@ class Simulation:
             if receivers:
                 self.schedule(now, EventKind.PACKET_DELIVERY, (receivers, packet, node_id))
         else:
-            pos = self.position_of(node, now)
+            # Both legs checked as position_of does, the sender first.
+            leg = node.leg
+            if now > leg.pause_until:
+                raise InvariantError(f"position query at t={now} beyond node {node_id}'s leg")
+            x, y = position_at(leg, now)
             next_hop = packet.next_hop
-            opos = self.position_of(self.nodes[next_hop], now)
-            dx = opos[0] - pos[0]
-            dy = opos[1] - pos[1]
+            leg = self.nodes[next_hop].leg
+            if now > leg.pause_until:
+                raise InvariantError(f"position query at t={now} beyond node {next_hop}'s leg")
+            ox, oy = position_at(leg, now)
+            dx = ox - x
+            dy = oy - y
             reachable = dx * dx + dy * dy <= range_sq
+            if reachable:
+                self.schedule(now, EventKind.PACKET_DELIVERY, (next_hop, packet, node_id))
             if isinstance(packet, RouteRequestPacket):
                 self.ledger.rreq_sent += 1
-                if reachable:
-                    self.schedule(self.now, EventKind.PACKET_DELIVERY, (next_hop, packet, node_id))
-                else:
+                if not reachable:
                     self.ledger.rreq_losses += 1
             elif isinstance(packet, RouteReplyPacket):
                 self.ledger.rrep_sent += 1
-                if reachable:
-                    self.schedule(self.now, EventKind.PACKET_DELIVERY, (next_hop, packet, node_id))
-                else:
+                if not reachable:
                     self.ledger.rrep_losses += 1
-            else:
-                if reachable:
-                    self.schedule(self.now, EventKind.PACKET_DELIVERY, (next_hop, packet, node_id))
-                else:
-                    # Next hop drifted out of range: the packet is lost and the
-                    # flow's source forgets the broken route.
-                    self._drop_data(packet, FATE_FORWARD_FAIL)
-                    self.nodes[packet.src].router.cache.pop(packet.dst, None)
-                    if self.trace_enabled:
-                        self.route_event_trace.append(
-                            (self.now, "route_break", packet.flow_id, len(packet.route or ()))
-                        )
-        if len(node.queue):
+            elif not reachable:
+                # Next hop drifted out of range: the packet is lost and the
+                # flow's source forgets the broken route.
+                self._drop_data(packet, FATE_FORWARD_FAIL)
+                self.nodes[packet.src].router.cache.pop(packet.dst, None)
+                if self.trace_enabled:
+                    self.route_event_trace.append(
+                        (self.now, "route_break", packet.flow_id, len(packet.route or ()))
+                    )
+        if queue._control or queue._data:  # not len(queue): a Python-level call
             self._start_transmission(node)
         if self.trace_enabled:
             self.event_trace.append(

@@ -1,10 +1,13 @@
 """Source routing over the cluster structure.
 
-Route discovery floods route requests across cluster heads only: a source
-hands its request to its head, heads relay one copy per neighboring cluster
-through gateway members, and whoever holds the target as a bidirectional
-neighbor (or is the target) returns a reply along the reversed recorded
-route.  Data packets then carry the full hop list.
+Route discovery floods route requests over the cluster structure: a source
+hands its request to its head, and a head relays one copy per neighboring
+cluster through gateway members.  A member that receives a request relays it
+to its bidirectional heads and also to every bidirectional neighbor that is a
+member of a foreign cluster, whichever hop the request came from, so requests
+also walk member to member across cluster borders.  Whoever holds the target
+as a bidirectional neighbor (or is the target) returns a reply along the
+reversed recorded route.  Data packets then carry the full hop list.
 
 There are no route-error packets: a broken source route is detected at the
 failing hop, the source's cache entry is invalidated, and the next packet for
@@ -14,6 +17,7 @@ that destination starts a fresh discovery governed by the retry policy.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .clustering import BIDIRECTIONAL, CLUSTER_HEAD, MEMBER, NodeClusterState
@@ -25,6 +29,8 @@ RREQ_RREP_HOP_BYTES = 4
 PENDING_LIMIT = 10  # data packets buffered per destination awaiting a route
 
 RequestId = tuple[int, int]
+
+_BIDIR_MEMBER = (True, MEMBER)  # a hello table value: bidirectional link, member role
 
 
 def control_size_bytes(route_len: int) -> int:
@@ -80,7 +86,10 @@ class OriginateResult:
 @dataclass(frozen=True)
 class RreqResult:
     reply: RouteReplyPacket | None
-    forwards: list[RouteRequestPacket]
+    forwards: Sequence[RouteRequestPacket]
+
+
+_DROPPED = RreqResult(None, ())  # shared by every duplicate or looping request
 
 
 def _completed_route(
@@ -109,40 +118,32 @@ def _forward_targets(cluster: NodeClusterState, route: tuple[int, ...]) -> list[
     bidirectional heads and across cluster borders; anyone already on the
     recorded route is skipped.
     """
-    node_id = cluster.node_id
     exclude = set(route)
+    exclude.add(cluster.node_id)
+    out = cluster.adjacent_heads - exclude
+    members = cluster.adjacent_members
     if cluster.role is CLUSTER_HEAD:
-        members = {
-            nid: e
-            for nid, e in cluster.neighbors.items()
-            if e.link is BIDIRECTIONAL and e.role is MEMBER
-        }
-        cluster_ids = {node_id} | members.keys()
-        direct = cluster.adjacent_heads - exclude
-        gateway_for: dict[int, int] = {}
-        borders = set()
-        for mid in sorted(members):
-            if mid in exclude:
-                continue
+        # Heads that need no gateway: excluded, adjacent, or already reached
+        # through a lower-id member (members are walked in ascending id order).
+        blocked = exclude | cluster.adjacent_heads
+        inside = exclude.union(members)
+        for mid in sorted(members.keys() - exclude):
             entry = members[mid]
-            for nid, (bidir, role) in entry.advertised_neighbors.items():
-                if not bidir or nid == node_id or nid in exclude:
-                    continue
-                if role is CLUSTER_HEAD and nid not in direct:
-                    gateway_for.setdefault(nid, mid)  # lowest id: mids ascend
-                elif role is MEMBER and nid not in cluster_ids:
-                    borders.add(mid)
-        return sorted(direct | set(gateway_for.values()) | borders)
-    if cluster.role is MEMBER:
-        out = set()
-        own_heads = cluster.head_ids
-        for nid, e in cluster.neighbors.items():
-            if e.link is not BIDIRECTIONAL or nid in exclude:
+            new_heads = entry.advertised_heads - blocked
+            if new_heads:
+                blocked |= new_heads
+                out.add(mid)
                 continue
-            if e.role is CLUSTER_HEAD:
-                out.add(nid)
-            elif e.role is MEMBER and e.advertised_heads.isdisjoint(own_heads):
-                out.add(nid)  # member of a foreign cluster: gateway-pair hop
+            for nid, link_role in entry.advertised_neighbors.items():
+                if nid not in inside and link_role == _BIDIR_MEMBER:
+                    out.add(mid)  # border member: gateway-pair hop
+                    break
+        return sorted(out)
+    if cluster.role is MEMBER:
+        own_heads = cluster.head_ids
+        for mid, entry in members.items():
+            if mid not in exclude and entry.advertised_heads.isdisjoint(own_heads):
+                out.add(mid)  # member of a foreign cluster: gateway-pair hop
         return sorted(out)
     return []  # an undecided node neither forwards nor answers for others
 
@@ -217,11 +218,11 @@ def process_rreq(
     """Handle one received route request: deduplicate, record the hop, answer
     if the target is known, otherwise relay per the node's role."""
     if rreq.request_id in router.seen_requests:
-        return RreqResult(None, [])
+        return _DROPPED
     router.seen_requests.add(rreq.request_id)
     node_id = cluster.node_id
     if node_id in rreq.recorded_route:
-        return RreqResult(None, [])
+        return _DROPPED
     route = rreq.recorded_route + (node_id,)
     if len(set(route)) != len(route):
         raise InvariantError(f"duplicate id in recorded route {route}")

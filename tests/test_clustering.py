@@ -476,6 +476,12 @@ def test_caches_match_their_sources(protocol, steps):
             nid for nid, e in state.neighbors.items()
             if e.link is LinkDirection.BIDIRECTIONAL and e.role is Role.CLUSTER_HEAD
         }
+        members = {
+            nid: e for nid, e in state.neighbors.items()
+            if e.link is LinkDirection.BIDIRECTIONAL and e.role is Role.MEMBER
+        }
+        assert state.adjacent_members.keys() == members.keys()
+        assert all(state.adjacent_members[nid] is e for nid, e in members.items())
         if state.role is Role.MEMBER:
             assert state.head_ids == state.adjacent_heads
     assert state.own_mobility == live_aggregate(state)

@@ -1,3 +1,4 @@
+import heapq
 import math
 from collections import Counter
 
@@ -63,6 +64,68 @@ def test_equal_time_events_processed_in_schedule_order():
         if time == t:
             popped.append(payload[0])
     assert popped == ["first", "second"]
+
+
+def test_same_instant_lane_keeps_single_heap_order(monkeypatch):
+    # Catches a same-instant lane drained ahead of heap events scheduled
+    # earlier for that instant, a lane that takes an event at a different time
+    # than the one it holds (after an event inside the 1e-9 s past slack ran),
+    # and an event that reaches the run loop without Simulation.schedule, where
+    # the benchmark counts events.
+    log = []  # ("s" | "d", time, kind, payload) per schedule call and dispatch
+    schedule = Simulation.schedule
+
+    def counting_schedule(sim, time, kind, payload):
+        log.append(("s", time, kind, payload))
+        schedule(sim, time, kind, payload)
+
+    monkeypatch.setattr(Simulation, "schedule", counting_schedule)
+    labels = []
+    children = {
+        "A1": ((0.0, "B1"), (0.0, "B2")),  # same instant: behind A2 and A3
+        "A2": ((0.0, "C"), (-5e-10, "D")),  # D is inside the past slack
+        "D": ((0.0, "E"),),  # at D's instant, while B1 waits at the later one
+    }
+
+    def probe(sim, label):
+        labels.append(label)
+        for offset, child in children.get(label, ()):
+            sim.schedule(sim.now + offset, EventKind.TRACE_SAMPLE, (child,))
+
+    def logged(kind, handler):
+        def dispatch(sim, *payload):
+            log.append(("d", sim.now, kind, payload))
+            handler(sim, *payload)
+
+        return dispatch
+
+    cfg = make_cfg(
+        node_count=20, area_width=700.0, area_height=700.0,
+        sim_duration=30.0, flow_count=3, max_speed=15.0,
+    )
+    sim = Simulation(cfg)
+    handlers = {**Simulation._HANDLERS, EventKind.TRACE_SAMPLE: probe}
+    sim._HANDLERS = {kind: logged(kind, h) for kind, h in handlers.items()}
+    t = 0.1234567  # distinct from every initial event time
+    for label in ("A1", "A2", "A3"):
+        sim.schedule(t, EventKind.TRACE_SAMPLE, (label,))
+    report = sim.run()
+
+    assert report.rreq_sent > 0 and report.rrep_sent > 0  # unicasts ran too
+    assert labels == ["A1", "A2", "D", "E", "A3", "B1", "B2", "C"]
+    # Replay the log through one heap: every dispatch must be the earliest
+    # pending event by (time, order of scheduling).
+    heap, seq = [], 0
+    for what, time, kind, payload in log:
+        if what == "s":
+            heapq.heappush(heap, (time, seq, kind, payload))
+            seq += 1
+        else:
+            expected_time, _, expected_kind, expected_payload = heapq.heappop(heap)
+            assert (time, kind, payload) == (expected_time, expected_kind, expected_payload)
+    dispatched = sum(what == "d" for what, *_ in log)
+    assert dispatched > 1000
+    assert len(heap) == len(sim._heap) + len(sim._lane) == seq - dispatched
 
 
 def test_packet_conservation_over_mobile_run():

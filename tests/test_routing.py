@@ -2,8 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cbrsim.clustering import Role
+from cbrsim.clustering import LinkDirection, Role, set_link_role
 from cbrsim.config import Protocol
 from cbrsim.engine import Simulation
 from cbrsim.errors import InvariantError
@@ -11,6 +13,7 @@ from cbrsim.routing import (
     PENDING_LIMIT,
     RouterState,
     RouteRequestPacket,
+    _forward_targets,
     control_size_bytes,
     forward_data,
     originate_rreq,
@@ -102,7 +105,7 @@ def test_duplicate_request_dropped():
     packet = rreq((9, 1), 9, 5, (9,))
     first = process_rreq(router, state, packet, 0.0)
     second = process_rreq(router, state, packet, 0.0)
-    assert second.reply is None and second.forwards == []
+    assert second.reply is None and second.forwards == ()
 
 
 def test_request_revisiting_node_dropped():
@@ -110,7 +113,7 @@ def test_request_revisiting_node_dropped():
     router = RouterState(node_id=2)
     packet = rreq((9, 1), 9, 5, (9, 2, 7))
     result = process_rreq(router, state, packet, 0.0)
-    assert result.reply is None and result.forwards == []
+    assert result.reply is None and result.forwards == ()
 
 
 def test_target_replies_with_completed_route():
@@ -227,6 +230,105 @@ def test_recorded_route_never_repeats_ids():
     result = process_rreq(router, state, rreq((9, 9), 9, 42, (9, 1)), 0.0)
     for copy in result.forwards:
         assert len(set(copy.recorded_route)) == len(copy.recorded_route)
+
+
+def scanned_heads(state):
+    return {
+        nid for nid, e in state.neighbors.items()
+        if e.link is LinkDirection.BIDIRECTIONAL and e.role is Role.CLUSTER_HEAD
+    }
+
+
+def scanned_forward_targets(cluster, route):
+    """The relay targets as a scan over the whole neighbor table computes them:
+    the oracle for the kept sets that ``_forward_targets`` reads instead."""
+    node_id = cluster.node_id
+    exclude = set(route)
+    if cluster.role is Role.CLUSTER_HEAD:
+        members = {
+            nid: e
+            for nid, e in cluster.neighbors.items()
+            if e.link is LinkDirection.BIDIRECTIONAL and e.role is Role.MEMBER
+        }
+        cluster_ids = {node_id} | members.keys()
+        direct = scanned_heads(cluster) - exclude
+        gateway_for = {}
+        borders = set()
+        for mid in sorted(members):
+            if mid in exclude:
+                continue
+            for nid, (bidir, role) in members[mid].advertised_neighbors.items():
+                if not bidir or nid == node_id or nid in exclude:
+                    continue
+                if role is Role.CLUSTER_HEAD and nid not in direct:
+                    gateway_for.setdefault(nid, mid)  # lowest id: mids ascend
+                elif role is Role.MEMBER and nid not in cluster_ids:
+                    borders.add(mid)
+        return sorted(direct | set(gateway_for.values()) | borders)
+    if cluster.role is Role.MEMBER:
+        out = set()
+        for nid, e in cluster.neighbors.items():
+            if e.link is not LinkDirection.BIDIRECTIONAL or nid in exclude:
+                continue
+            if e.role is Role.CLUSTER_HEAD:
+                out.add(nid)
+            elif e.role is Role.MEMBER and e.advertised_heads.isdisjoint(cluster.head_ids):
+                out.add(nid)
+        return sorted(out)
+    return []
+
+
+# Weighted toward bidirectional links, members near node 0 and heads beyond
+# its range, so that several of its members often hear the same foreign head.
+LINKS = st.sampled_from(
+    ["bidir", "bidir", "bidir", "none", "first hears second", "second hears first"]
+)
+NEAR_ROLES = st.sampled_from(
+    [Role.MEMBER, Role.MEMBER, Role.MEMBER, Role.CLUSTER_HEAD, Role.UNDECIDED]
+)
+FAR_ROLES = st.sampled_from([Role.CLUSTER_HEAD, Role.CLUSTER_HEAD, Role.MEMBER, Role.UNDECIDED])
+
+
+@st.composite
+def relay_states(draw, size=12):
+    """Node 0's cluster state in a drawn network of ``size`` nodes: its role,
+    its table with each neighbor's advertised table, and then random link and
+    role changes applied through ``set_link_role``, as later hellos would."""
+    near = size // 2  # node 0 can hear ids 1 to near
+    roles = [draw(NEAR_ROLES if nid <= near else FAR_ROLES) for nid in range(size)]
+    tables = {nid: {} for nid in range(size)}  # id -> {heard id: (bidirectional, role)}
+    for a in range(size):
+        for b in range(a + 1, size):
+            if a == 0 and b > near:
+                continue
+            link = draw(LINKS)
+            if link in ("bidir", "first hears second"):
+                tables[a][b] = (link == "bidir", roles[b])
+            if link in ("bidir", "second hears first"):
+                tables[b][a] = (link == "bidir", roles[a])
+    role = draw(st.sampled_from([Role.CLUSTER_HEAD, Role.MEMBER]))
+    state = make_state(0, role=role)
+    for nid, (bidir, nrole) in sorted(tables[0].items()):
+        add_neighbor(
+            state, nid, bidirectional=bidir, role=nrole, advertised_neighbors=tables[nid]
+        )
+    changes = st.tuples(st.integers(1, size - 1), st.booleans(), st.sampled_from(list(Role)))
+    for nid, bidir, nrole in draw(st.lists(changes)):
+        if nid in state.neighbors:
+            link = LinkDirection.BIDIRECTIONAL if bidir else LinkDirection.UNI_FROM_NEIGHBOR
+            set_link_role(state, state.neighbors[nid], link, nrole)
+    state.head_ids = {0} if role is Role.CLUSTER_HEAD else scanned_heads(state)
+    return state
+
+
+@given(state=relay_states(), route=st.lists(st.integers(1, 11), unique=True, max_size=3))
+@settings(max_examples=300, deadline=None)
+def test_forward_targets_match_a_scan_of_the_table(state, route):
+    # Catches relay targets read from kept sets that drift from the table
+    # (an entry whose role changed), and a head branch whose gateway pick
+    # differs from "lowest-id member per foreign head".
+    route = (*route, 0)  # as process_rreq passes it: the recorded hops, then node 0
+    assert _forward_targets(state, route) == scanned_forward_targets(state, route)
 
 
 # -- replies -----------------------------------------------------------------
