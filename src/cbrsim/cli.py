@@ -2,10 +2,10 @@
 comparison, and report emission.
 
 Outputs land in the --out directory: ``runs.csv`` (one row per run),
-``summary.csv`` (per-cell means and standard deviations), and ``report.txt``
-(human-readable tables, including the paired protocol comparison).  All
-output is deterministic: rerunning the same command reproduces the files
-byte for byte.
+``summary.csv`` (per-cell means and standard deviations), ``report.txt``
+(human-readable tables, including the paired protocol comparison), and
+``config.txt`` (the base config).  All output is deterministic: rerunning the
+same command reproduces the files byte for byte.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .config import (
     _FIELD_PARSERS,
     parse_config,
     parse_protocol,
+    parse_setting,
     serialize_config,
 )
 from .engine import Simulation
@@ -53,6 +54,10 @@ class SweepAxis(Enum):
     PACKET_RATE = "rate"
 
 
+# The config field (and RunReport column) each sweep axis varies.
+_AXIS_FIELDS = {SweepAxis.MAX_SPEED: "max_speed", SweepAxis.PACKET_RATE: "packet_rate"}
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """Cross product of sweep values, protocol variants, and seeds.
@@ -76,10 +81,8 @@ class ExperimentPlan:
 
     def config_for(self, value, protocol: Protocol, seed: int) -> ScenarioConfig:
         overrides = {"protocol": protocol, "rng_seed": seed}
-        if self.axis is SweepAxis.MAX_SPEED:
-            overrides["max_speed"] = value
-        elif self.axis is SweepAxis.PACKET_RATE:
-            overrides["packet_rate"] = value
+        if self.axis in _AXIS_FIELDS:
+            overrides[_AXIS_FIELDS[self.axis]] = value
         return self.base.with_overrides(**overrides)
 
 
@@ -101,11 +104,8 @@ class SweepResult:
 
 
 def _axis_value_of(report: RunReport, axis: SweepAxis):
-    if axis is SweepAxis.PACKET_RATE:
-        return report.packet_rate
-    if axis is SweepAxis.MAX_SPEED:
-        return report.max_speed
-    return None
+    name = _AXIS_FIELDS.get(axis)
+    return None if name is None else getattr(report, name)
 
 
 def run_sweep(
@@ -114,19 +114,31 @@ def run_sweep(
     *,
     resume: bool = False,
     trace: bool = False,
-    last_sim_holder: list | None = None,
 ) -> SweepResult:
     """Execute a plan's run set, writing runs.csv incrementally plus the
-    summary artifacts.  With ``resume``, cells already present in runs.csv
-    are reused instead of re-simulated."""
+    summary artifacts.
+
+    ``config.txt`` records the plan's base config.  With ``resume``, cells
+    already present in runs.csv are reused instead of re-simulated, provided
+    ``config.txt`` holds the same base config.  A cell that breaches an
+    invariant leaves its own config in ``invariant_config.txt``: the run is
+    deterministic, so that file replays the breach.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs_path = out / "runs.csv"
+    config_path = out / "config.txt"
+    base_text = serialize_config(plan.base)
     existing: dict[tuple, RunReport] = {}
     if resume and runs_path.exists():
+        if not config_path.exists() or config_path.read_text(encoding="utf-8") != base_text:
+            raise ConfigError(
+                f"cannot resume: {config_path} is missing or records another base config"
+            )
         for report in read_runs_csv(runs_path):
             key = (report.protocol, report.seed, report.max_speed, report.packet_rate)
             existing[key] = report
+    config_path.write_text(base_text, encoding="utf-8")
     reports: dict[tuple, RunReport] = {}
     with open(runs_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -136,12 +148,18 @@ def run_sweep(
             key = (cfg.protocol.value, cfg.rng_seed, cfg.max_speed, cfg.packet_rate)
             report = existing.get(key)
             if report is None:
-                sim = Simulation(cfg, trace=trace)
-                if last_sim_holder is not None:
-                    last_sim_holder[:] = [sim]
-                report = sim.run()
-                if trace:
-                    _write_traces(sim, out, cfg)
+                sim = None
+                try:
+                    sim = Simulation(cfg, trace=trace)
+                    report = sim.run()
+                except InvariantError:
+                    (out / "invariant_config.txt").write_text(
+                        serialize_config(cfg), encoding="utf-8"
+                    )
+                    raise
+                finally:
+                    if trace and sim is not None:
+                        _write_traces(sim, out, cfg)
             reports[(value, protocol.value, seed)] = report
             writer.writerow(report_to_row(report))
             fh.flush()
@@ -324,24 +342,10 @@ def plan_from_args(args) -> ExperimentPlan:
     else:
         base = ScenarioConfig()
     overrides = {}
-    for key, value_parser in _FIELD_PARSERS.items():
-        if key == "protocol":
-            continue
-        raw = getattr(args, key, None)
-        if raw is not None:
-            try:
-                overrides[key] = value_parser(raw)
-            except ConfigError:
-                raise
-            except ValueError:
-                raise ConfigError(f"bad value {raw!r} for --{key}") from None
-    if args.area is not None:
-        w_text, _, h_text = args.area.lower().partition("x")
-        try:
-            overrides["area_width"] = float(w_text)
-            overrides["area_height"] = float(h_text)
-        except ValueError:
-            raise ConfigError(f"--area must look like 1000x1000, got {args.area!r}") from None
+    for key in (*_FIELD_PARSERS, "area"):
+        raw = getattr(args, key)
+        if raw is not None and key != "protocol":
+            overrides.update(parse_setting(key, raw, f"--{key}"))
     if overrides:
         base = base.with_overrides(**overrides)
     if args.protocol == "both":
@@ -363,11 +367,8 @@ def plan_from_args(args) -> ExperimentPlan:
     if args.sweep:
         name, _, value_text = args.sweep.partition("=")
         name = name.strip().lower()
-        if name == "speed":
-            axis = SweepAxis.MAX_SPEED
-        elif name == "rate":
-            axis = SweepAxis.PACKET_RATE
-        else:
+        axis = next((a for a in _AXIS_FIELDS if a.value == name), None)
+        if axis is None:
             raise ConfigError(f"unknown sweep axis {name!r} (expected speed or rate)")
         try:
             values = tuple(float(v) for v in value_text.split(",") if v.strip())
@@ -382,37 +383,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     out = Path(args.out)
-    sim_holder: list = []
     try:
         plan = plan_from_args(args)
-        run_sweep(plan, out, resume=args.resume, trace=args.trace, last_sim_holder=sim_holder)
+        run_sweep(plan, out, resume=args.resume, trace=args.trace)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:
-        dump_path = _dump_recent_events(out, sim_holder)
         print(
-            f"internal invariant breach: {exc}\nevent-trace tail: {dump_path}",
+            f"internal invariant breach: {exc}\n"
+            f"replay: python -m cbrsim --config {out / 'invariant_config.txt'} --trace",
             file=sys.stderr,
         )
         return 3
     return 0
-
-
-def _dump_recent_events(out: Path, sim_holder: list) -> Path | str:
-    if not sim_holder:
-        return "<no simulation started>"
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        dump_path = out / "invariant_trace.csv"
-        with open(dump_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["time", "event_kind", "payload_head"])
-            for time, kind, head in sim_holder[0].recent_events():
-                writer.writerow([time, kind, head])
-        return dump_path
-    except OSError:
-        return "<unwritable>"
 
 
 if __name__ == "__main__":

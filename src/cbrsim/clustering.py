@@ -113,7 +113,6 @@ class HelloMessage:
     neighbor_table: NeighborTable
     advertised_heads: frozenset[int]
     size_bytes: int
-    created_at: float
 
     control = True
 
@@ -230,7 +229,7 @@ def hello_size_bytes(entry_count: int, protocol: Protocol) -> int:
     return size
 
 
-def build_hello(state: NodeClusterState, now: float) -> HelloMessage:
+def build_hello(state: NodeClusterState) -> HelloMessage:
     """Snapshot the node's table into a hello broadcast."""
     table = MappingProxyType(
         {nid: (e.link is BIDIRECTIONAL, e.role) for nid, e in sorted(state.neighbors.items())}
@@ -244,7 +243,6 @@ def build_hello(state: NodeClusterState, now: float) -> HelloMessage:
         neighbor_table=table,
         advertised_heads=advertised_head_ids(table),
         size_bytes=hello_size_bytes(len(table), state.protocol),
-        created_at=now,
     )
 
 

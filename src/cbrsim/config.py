@@ -195,6 +195,30 @@ _KEY_ALIASES = {
 }
 
 
+def parse_setting(key: str, value: str, where: str) -> dict:
+    """Parse one ``key=value`` setting into the config fields it sets.
+
+    Accepts the key aliases and ``area=WxH``.  ``where`` names the setting's
+    origin (``line 3``, ``--max_speed``) and prefixes every error message.
+    """
+    key = _KEY_ALIASES.get(key, key)
+    if key == "area":
+        w_text, _, h_text = value.lower().partition("x")
+        try:
+            return {"area_width": float(w_text), "area_height": float(h_text)}
+        except ValueError:
+            raise ConfigError(f"{where}: area must look like 1000x1000, got {value!r}") from None
+    parser = _FIELD_PARSERS.get(key)
+    if parser is None:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    try:
+        return {key: parser(value)}
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+    except ValueError:
+        raise ConfigError(f"{where}: bad value {value!r} for key {key!r}") from None
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse scenario-file contents into a validated :class:`ScenarioConfig`.
 
@@ -209,30 +233,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        key = _KEY_ALIASES.get(key, key)
-        if key == "area":
-            try:
-                w_text, _, h_text = value.lower().partition("x")
-                values["area_width"] = float(w_text)
-                values["area_height"] = float(h_text)
-            except ValueError:
-                raise ConfigError(
-                    f"line {lineno}: area must look like 1000x1000, got {value!r}"
-                ) from None
-            continue
-        parser = _FIELD_PARSERS.get(key)
-        if parser is None:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        try:
-            values[key] = parser(value)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(
-                f"line {lineno}: bad value {value!r} for key {key!r}"
-            ) from None
+        values.update(parse_setting(key.strip(), value.strip(), f"line {lineno}"))
     return ScenarioConfig(**values)
 
 

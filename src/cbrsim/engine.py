@@ -80,9 +80,6 @@ class EventKind(Enum):
     TRACE_SAMPLE = "trace_sample"
 
 
-RECENT_EVENTS = 5000  # rows kept for recent_events()
-
-
 class QueueOutcome(Enum):
     ACCEPTED = "accepted"
     DROPPED_INCOMING = "dropped_incoming"
@@ -107,13 +104,12 @@ class InterfaceQueue:
     holds by construction and the capacity check is one comparison.
     """
 
-    __slots__ = ("_control", "_data", "capacity", "busy_until", "transmitting")
+    __slots__ = ("_control", "_data", "capacity", "transmitting")
 
     def __init__(self, capacity: int):
         self._control: deque = deque()
         self._data: deque = deque()
         self.capacity = capacity
-        self.busy_until = 0.0
         self.transmitting = None
 
     def __len__(self) -> int:
@@ -211,7 +207,6 @@ class Simulation:
         self.flows: list[Flow] = flows
         self._in_flight: dict[int, DataPacket] = {}  # id -> emitted, not yet classified
         self.route_log: list[tuple[float, int, int, tuple[int, ...]]] = []
-        self._recent: deque = deque(maxlen=RECENT_EVENTS)  # (time, EventKind, payload head)
         self.trace_enabled = trace
         self.event_trace: list[tuple[float, int, str, str]] = []
         self.route_event_trace: list[tuple[float, str, int, int]] = []
@@ -270,7 +265,6 @@ class Simulation:
         duration = self.cfg.sim_duration
         heap, lane = self._heap, self._lane
         heappop, lane_pop = heapq.heappop, lane.popleft
-        remember = self._recent.append
         handlers = self._HANDLERS
         while True:
             # The earlier head by (time, seq) runs next; sequence numbers are
@@ -284,7 +278,6 @@ class Simulation:
             else:
                 break
             self.now = time
-            remember((time, kind, payload[:1]))
             handlers[kind](self, *payload)
         self.now = duration
         self._sweep_unfinished()
@@ -313,9 +306,8 @@ class Simulation:
     def _start_transmission(self, node: Node) -> None:
         packet = node.queue.pop_head()
         node.queue.transmitting = packet
-        duration = packet.size_bytes * 8.0 / self.cfg.link_rate
-        node.queue.busy_until = self.now + duration
-        self.schedule(node.queue.busy_until, EventKind.TRANSMIT_COMPLETE, (node.node_id,))
+        busy_until = self.now + packet.size_bytes * 8.0 / self.cfg.link_rate
+        self.schedule(busy_until, EventKind.TRANSMIT_COMPLETE, (node.node_id,))
 
     def _on_transmit_complete(self, node_id: int) -> None:
         node = self.nodes[node_id]
@@ -406,24 +398,21 @@ class Simulation:
         if self.trace_enabled:
             self.event_trace.append((self.now, recipient, "receive", type(packet).__name__))
         if isinstance(packet, RouteRequestPacket):
-            result = routing.process_rreq(node.router, node.cluster, packet, self.now)
+            result = routing.process_rreq(node.router, node.cluster, packet)
             if result.reply is not None:
                 self._enqueue_packet(node, result.reply)
             for copy in result.forwards:
                 self._enqueue_packet(node, copy)
         elif isinstance(packet, RouteReplyPacket):
-            kind, obj = routing.process_rrep(node.router, node.cluster, packet, self.now)
+            kind, obj = routing.process_rrep(node.router, node.cluster, packet)
             if kind == "forward":
                 self._enqueue_packet(node, obj)
             else:
                 destination = obj
-                self.route_log.append(
-                    (self.now, node.node_id, destination, node.router.cache[destination].hops)
-                )
+                route = node.router.cache[destination]
+                self.route_log.append((self.now, node.node_id, destination, route))
                 if self.trace_enabled:
-                    self.route_event_trace.append(
-                        (self.now, "rrep_recv", destination, len(node.router.cache[destination].hops))
-                    )
+                    self.route_event_trace.append((self.now, "rrep_recv", destination, len(route)))
                 self._flush_pending(node, destination)
         else:
             action, successor = routing.forward_data(node.cluster, packet)
@@ -463,14 +452,14 @@ class Simulation:
                 node.node_id, outcome.old_role, outcome.new_role, self.now
             )
         if outcome.send_hello:
-            hello = clustering.build_hello(node.cluster, self.now)
+            hello = clustering.build_hello(node.cluster)
             self._enqueue_packet(node, hello)
 
     # -- timers -------------------------------------------------------------
 
     def _on_hello_timer(self, node_id: int) -> None:
         node = self.nodes[node_id]
-        hello = clustering.build_hello(node.cluster, self.now)
+        hello = clustering.build_hello(node.cluster)
         self._enqueue_packet(node, hello)
         jitter = 1.0 + 0.1 * node.hello_rng.uniform(-1.0, 1.0)
         self.schedule(
@@ -514,7 +503,7 @@ class Simulation:
     def _dispatch_data(self, node: Node, packet: DataPacket) -> None:
         cached = node.router.cache.get(packet.dst)
         if cached is not None:
-            packet.route = cached.hops
+            packet.route = cached
             action, successor = routing.forward_data(node.cluster, packet)
             if action == "deliver":
                 raise InvariantError("flow source equals destination")
@@ -530,7 +519,7 @@ class Simulation:
             self._originate(node, packet.dst)
 
     def _originate(self, node: Node, destination: int) -> None:
-        result = routing.originate_rreq(node.router, node.cluster, destination, self.now)
+        result = routing.originate_rreq(node.router, node.cluster, destination)
         if result.installed is not None:
             node.router.discoveries.pop(destination, None)
             self.route_log.append((self.now, node.node_id, destination, result.installed))
@@ -614,18 +603,6 @@ class Simulation:
         next_time = self.now + self._sample_period
         if next_time <= self.cfg.sim_duration:
             self.schedule(next_time, EventKind.TRACE_SAMPLE, ())
-
-    def recent_events(self) -> list[tuple]:
-        """Tail of the event stream as (time, kind name, payload head), kept
-        for post-mortem dumps.  A hello fan-out yields one delivery row per
-        receiver, in id order."""
-        rows = []
-        for time, kind, head in self._recent:
-            if kind is EventKind.PACKET_DELIVERY and isinstance(head[0], list):
-                rows.extend((time, kind.name, (rid,)) for rid, _ in head[0])
-            else:
-                rows.append((time, kind.name, head))
-        return rows[-RECENT_EVENTS:]
 
     # Event dispatch: each kind's handler, called with the event's payload.
     _HANDLERS = {

@@ -100,6 +100,11 @@ class RunReport:
 
 CSV_COLUMNS = [f.name for f in fields(RunReport)]
 
+# Ledger counters that a RunReport carries over unchanged, under the same name.
+_LEDGER_COUNTERS = [
+    name for name in CSV_COLUMNS if name in {f.name for f in fields(MetricsLedger)}
+]
+
 # Field.type holds the annotation's text: annotations here are postponed.
 _COLUMN_PARSERS = {"str": str, "int": int, "float": float}
 
@@ -140,23 +145,12 @@ def finalize(ledger: MetricsLedger, cfg: ScenarioConfig) -> RunReport:
         seed=cfg.rng_seed,
         max_speed=cfg.max_speed,
         packet_rate=cfg.packet_rate,
-        ch_changes=ledger.ch_changes,
         pdr=pdr,
         throughput_bps=ledger.delivered_bytes * 8.0 / cfg.sim_duration,
         overhead_pkts=ledger.control_packets_sent,
         mean_delay_s=mean_delay,
-        throughput_pps=ledger.data_delivered / cfg.sim_duration,
-        data_sent=sent,
-        data_delivered=ledger.data_delivered,
-        drop_queue=ledger.drop_queue,
-        drop_no_route=ledger.drop_no_route,
-        drop_forward_fail=ledger.drop_forward_fail,
-        in_flight_at_horizon=ledger.in_flight_at_horizon,
-        hello_sent=ledger.hello_sent,
-        rreq_sent=ledger.rreq_sent,
-        rrep_sent=ledger.rrep_sent,
-        rreq_losses=ledger.rreq_losses,
-        rrep_losses=ledger.rrep_losses,
+        throughput_pps=delivered / cfg.sim_duration,
+        **{name: getattr(ledger, name) for name in _LEDGER_COUNTERS},
     )
 
 

@@ -45,7 +45,6 @@ class RouteRequestPacket:
     recorded_route: tuple[int, ...]
     next_hop: int
     size_bytes: int
-    created_at: float
 
     control = True
 
@@ -55,21 +54,14 @@ class RouteReplyPacket:
     route: tuple[int, ...]
     next_hop: int
     size_bytes: int
-    created_at: float
 
     control = True
-
-
-@dataclass(frozen=True)
-class CachedRoute:
-    hops: tuple[int, ...]
-    created_at: float
 
 
 @dataclass
 class RouterState:
     node_id: int
-    cache: dict[int, CachedRoute] = field(default_factory=dict)
+    cache: dict[int, tuple[int, ...]] = field(default_factory=dict)  # destination -> route
     pending: dict[int, deque[DataPacket]] = field(default_factory=dict)
     seen_requests: set[RequestId] = field(default_factory=set)
     # destination -> originations performed so far (first try included)
@@ -149,18 +141,16 @@ def _forward_targets(cluster: NodeClusterState, route: tuple[int, ...]) -> list[
 
 
 def _make_copies(
-    rreq: RouteRequestPacket, route: tuple[int, ...], targets: list[int], now: float
+    rreq: RouteRequestPacket, route: tuple[int, ...], targets: list[int]
 ) -> list[RouteRequestPacket]:
     size = control_size_bytes(len(route))
     return [
-        RouteRequestPacket(
-            rreq.request_id, rreq.origin, rreq.target, route, t, size, rreq.created_at
-        )
+        RouteRequestPacket(rreq.request_id, rreq.origin, rreq.target, route, t, size)
         for t in targets
     ]
 
 
-def _make_reply(route: tuple[int, ...], replier: int, now: float) -> RouteReplyPacket:
+def _make_reply(route: tuple[int, ...], replier: int) -> RouteReplyPacket:
     idx = route.index(replier)
     if idx == 0:
         raise InvariantError("route reply originated at the route's source")
@@ -168,12 +158,11 @@ def _make_reply(route: tuple[int, ...], replier: int, now: float) -> RouteReplyP
         route=route,
         next_hop=route[idx - 1],
         size_bytes=control_size_bytes(len(route)),
-        created_at=now,
     )
 
 
 def originate_rreq(
-    router: RouterState, cluster: NodeClusterState, target: int, now: float
+    router: RouterState, cluster: NodeClusterState, target: int
 ) -> OriginateResult:
     """Start (or restart) route discovery toward ``target``.
 
@@ -187,7 +176,7 @@ def originate_rreq(
     entry = cluster.neighbors.get(target)
     if entry is not None and entry.link is BIDIRECTIONAL:
         route = (node_id, target)
-        router.cache[target] = CachedRoute(route, now)
+        router.cache[target] = route
         return OriginateResult(installed=route, packets=[])
     router.request_counter += 1
     request_id = (node_id, router.request_counter)
@@ -199,21 +188,20 @@ def originate_rreq(
         recorded_route=(node_id,),
         next_hop=node_id,
         size_bytes=control_size_bytes(1),
-        created_at=now,
     )
     if cluster.role is CLUSTER_HEAD:
         # The source is its own head: no unicast hop, fan out directly.
         targets = _forward_targets(cluster, (node_id,))
-        return OriginateResult(None, _make_copies(base, (node_id,), targets, now))
+        return OriginateResult(None, _make_copies(base, (node_id,), targets))
     if cluster.role is MEMBER and cluster.head_ids:
         return OriginateResult(
-            None, _make_copies(base, (node_id,), sorted(cluster.head_ids), now)
+            None, _make_copies(base, (node_id,), sorted(cluster.head_ids))
         )
     return OriginateResult(None, [])
 
 
 def process_rreq(
-    router: RouterState, cluster: NodeClusterState, rreq: RouteRequestPacket, now: float
+    router: RouterState, cluster: NodeClusterState, rreq: RouteRequestPacket
 ) -> RreqResult:
     """Handle one received route request: deduplicate, record the hop, answer
     if the target is known, otherwise relay per the node's role."""
@@ -230,13 +218,13 @@ def process_rreq(
     if completed is not None:
         if len(set(completed)) != len(completed):
             raise InvariantError(f"duplicate id in completed route {completed}")
-        return RreqResult(_make_reply(completed, node_id, now), [])
+        return RreqResult(_make_reply(completed, node_id), [])
     targets = _forward_targets(cluster, route)
-    return RreqResult(None, _make_copies(rreq, route, targets, now))
+    return RreqResult(None, _make_copies(rreq, route, targets))
 
 
 def process_rrep(
-    router: RouterState, cluster: NodeClusterState, rrep: RouteReplyPacket, now: float
+    router: RouterState, cluster: NodeClusterState, rrep: RouteReplyPacket
 ) -> tuple[str, object]:
     """Move a route reply one hop toward the source; install at the source.
 
@@ -252,12 +240,12 @@ def process_rrep(
         ) from None
     if idx == 0:
         destination = rrep.route[-1]
-        router.cache[destination] = CachedRoute(rrep.route, now)
+        router.cache[destination] = rrep.route
         router.discoveries.pop(destination, None)
         return ("installed", destination)
     return (
         "forward",
-        RouteReplyPacket(rrep.route, rrep.route[idx - 1], rrep.size_bytes, rrep.created_at),
+        RouteReplyPacket(rrep.route, rrep.route[idx - 1], rrep.size_bytes),
     )
 
 

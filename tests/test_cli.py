@@ -15,7 +15,9 @@ from cbrsim.cli import (
     run_sweep,
     summarize_runs,
 )
-from cbrsim.config import Protocol, ScenarioConfig
+import cbrsim.engine
+from cbrsim.config import Protocol, ScenarioConfig, parse_config
+from cbrsim.errors import InvariantError
 from cbrsim.metrics import CSV_COLUMNS
 from conftest import child_env
 
@@ -139,6 +141,20 @@ def test_cli_resume_skips_completed_cells(fast_cfg_file, tmp_path, monkeypatch):
     assert (out / "runs.csv").read_bytes() == first
 
 
+def test_cli_resume_refuses_another_base_config(fast_cfg_file, tmp_path):
+    # The resume key holds no node count: without config.txt the 30-node
+    # resume would reuse the 12-node row.
+    out = tmp_path / "out"
+    common = ["--config", str(fast_cfg_file), "--seed", "0", "--out", str(out)]
+    assert main(common + ["--node_count", "12"]) == 0
+    first = (out / "runs.csv").read_bytes()
+    assert main(common + ["--node_count", "30", "--resume"]) == 2
+    assert (out / "runs.csv").read_bytes() == first
+    (out / "config.txt").unlink()
+    assert main(common + ["--node_count", "12", "--resume"]) == 2
+    assert (out / "runs.csv").read_bytes() == first
+
+
 def test_cli_flag_overrides_beat_file(fast_cfg_file, tmp_path):
     out = tmp_path / "out"
     main([
@@ -175,6 +191,59 @@ def test_cli_unknown_sweep_axis_exits_2(fast_cfg_file, tmp_path):
         "--config", str(fast_cfg_file), "--sweep", "altitude=1,2",
         "--out", str(tmp_path / "o"),
     ]) == 2
+
+
+def test_cli_flags_parse_like_file_lines():
+    args = build_parser().parse_args(["--area", "500x400", "--fading_enabled", "yes"])
+    assert plan_from_args(args).base == parse_config("area=500x400\nfading_enabled=yes\n")
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--node_count", "many", "--node_count: bad value 'many'"),
+     ("--area", "500by400", "--area: area must look like 1000x1000"),
+     ("--fading_enabled", "maybe", "--fading_enabled: not a boolean")],
+)
+def test_cli_bad_flag_value_exits_2_naming_the_flag(tmp_path, capsys, flag, value, message):
+    assert main([flag, value, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_invariant_breach_exits_3_and_replays_from_its_config(
+    fast_cfg_file, tmp_path, monkeypatch, capsys
+):
+    real_finalize = cbrsim.engine.finalize
+
+    def finalize(ledger, cfg):
+        if (cfg.protocol, cfg.rng_seed) == (Protocol.CBRP, 1):
+            raise InvariantError(f"forced breach in {cfg.protocol.value} seed {cfg.rng_seed}")
+        return real_finalize(ledger, cfg)
+
+    monkeypatch.setattr(cbrsim.engine, "finalize", finalize)
+    out = tmp_path / "out"
+    argv = [
+        "--config", str(fast_cfg_file), "--protocol", "both", "--seeds", "2",
+        "--sim_duration", "10", "--trace", "--out", str(out),
+    ]
+    assert main(argv) == 3
+    replay_config = out / "invariant_config.txt"
+    breach = "internal invariant breach: forced breach in cbrp seed 1"
+    assert capsys.readouterr().err == (
+        f"{breach}\nreplay: python -m cbrsim --config {replay_config} --trace\n"
+    )
+    plan = plan_from_args(build_parser().parse_args(argv))
+    assert parse_config(replay_config.read_text(encoding="utf-8")) == plan.config_for(
+        None, Protocol.CBRP, 1
+    )
+    events = "events_cbrp_seed1_v10_r2.csv"  # the breaching cell's trace
+    names = {p.name for p in out.iterdir()}
+    assert events in names
+    assert not any(n.startswith("events_cross-cbrp") for n in names)  # the sweep stopped
+
+    replay = tmp_path / "replay"
+    assert main(["--config", str(replay_config), "--trace", "--out", str(replay)]) == 3
+    assert capsys.readouterr().err.splitlines()[0] == breach
+    assert (replay / events).read_bytes() == (out / events).read_bytes()
 
 
 def test_cli_trace_writes_trace_files(fast_cfg_file, tmp_path):

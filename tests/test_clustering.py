@@ -102,8 +102,8 @@ def test_aggregate_nonnegative_and_zero_iff_all_zero(samples):
 # -- hello handling ----------------------------------------------------------
 
 
-def hello_from(state, now=0.0):
-    return build_hello(state, now)
+def hello_from(state):
+    return build_hello(state)
 
 
 def test_first_hello_creates_entry_without_rel_sample():
@@ -360,8 +360,8 @@ def test_adjacent_heads_resolve_within_one_hello_exchange():
     add_neighbor(a, 8)  # entries exist so the hellos read as bidirectional
     add_neighbor(b, 3)
     # hellos cross in flight: both still advertise the head role
-    hello_a = build_hello(a, 0.0)
-    hello_b = build_hello(b, 0.0)
+    hello_a = build_hello(a)
+    hello_b = build_hello(b)
     out_b = on_hello_received(b, hello_a, 1.0, now=AFTER_WARMUP)
     out_a = on_hello_received(a, hello_b, 1.0, now=AFTER_WARMUP + 0.5)
     assert b.role is Role.MEMBER and b.head_ids == {3}
@@ -388,9 +388,8 @@ def test_gateway_set_member_bridging_two_clusters():
         recorded_route=(9,),
         next_hop=1,
         size_bytes=control_size_bytes(1),
-        created_at=0.0,
     )
-    result = process_rreq(RouterState(node_id=1), head, request, 0.0)
+    result = process_rreq(RouterState(node_id=1), head, request)
     assert [p.next_hop for p in result.forwards] == [4]
 
 
@@ -429,13 +428,13 @@ HELLO_STEP = st.tuples(
 EXPIRY_STEP = st.tuples(st.just("expire"), st.floats(0.0, 5.0), st.booleans())
 
 
-def hello_with_table(sender_id, table, role, mobility, now):
+def hello_with_table(sender_id, table, role, mobility):
     sender = make_state(sender_id, role=role)
     for nid, (bidir, nrole) in table.items():
         if nid != sender_id:
             add_neighbor(sender, nid, bidirectional=bidir, role=nrole)
     sender.own_mobility = mobility
-    return build_hello(sender, now)
+    return build_hello(sender)
 
 
 def live_aggregate(state):
@@ -457,7 +456,7 @@ def test_caches_match_their_sources(protocol, steps):
         if step[0] == "hello":
             _, sid, table, role, power, mobility, dt, read = step
             now += dt
-            hello = hello_with_table(sid, table, role, mobility, now)
+            hello = hello_with_table(sid, table, role, mobility)
             sent.append((hello, dict(hello.neighbor_table)))
             on_hello_received(state, hello, power, now)
         else:
@@ -495,7 +494,7 @@ def test_caches_match_their_sources(protocol, steps):
 def test_hello_table_is_shared_by_every_receiver():
     sender = make_state(2)
     add_neighbor(sender, 1, role=Role.CLUSTER_HEAD)
-    hello = build_hello(sender, 0.0)
+    hello = build_hello(sender)
     receivers = [make_state(nid) for nid in (1, 3, 4)]
     for r in receivers:
         on_hello_received(r, hello, 1.0, now=0.0)
@@ -509,10 +508,10 @@ def test_hello_table_is_shared_by_every_receiver():
 
 def test_mobility_is_summed_on_read_and_assignable():
     state = make_state(1)
-    on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0, 0.0), 1.0, now=0.0)
-    on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0, 1.0), 10.0, now=1.0)
+    on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0), 1.0, now=0.0)
+    on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0), 10.0, now=1.0)
     assert state.own_mobility == 100.0
     state.own_mobility = 7.0  # direct assignment sticks until the table changes
     assert state.own_mobility == 7.0
-    on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0, 2.0), 10.0, now=2.0)
+    on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0), 10.0, now=2.0)
     assert state.own_mobility == 0.0

@@ -10,7 +10,7 @@ import cbrsim.clustering
 import cbrsim.engine
 from cbrsim.clustering import LinkDirection, build_hello
 from cbrsim.config import Protocol, ScenarioConfig
-from cbrsim.engine import RECENT_EVENTS, EventKind, Simulation
+from cbrsim.engine import EventKind, Simulation
 from cbrsim.errors import InvariantError
 from cbrsim.metrics import FATE_NO_ROUTE, FATE_QUEUE
 from cbrsim.mobility import WaypointLeg
@@ -263,7 +263,7 @@ def test_fan_out_rejects_a_node_whose_leg_has_ended():
     stale = sim.nodes[3]
     x, y = stale.leg.destination
     stale.leg = WaypointLeg((x, y), (x, y), 1.0, 0.0, 0.5, 1.0)
-    sim.nodes[0].queue.transmitting = build_hello(sim.nodes[0].cluster, sim.now)
+    sim.nodes[0].queue.transmitting = build_hello(sim.nodes[0].cluster)
     with pytest.raises(InvariantError, match="beyond node 3's leg"):
         sim._on_transmit_complete(0)
 
@@ -326,29 +326,6 @@ def test_traced_fan_out_keeps_one_receive_row_per_receiver():
     ]
     assert len(sent) == report.hello_sent > 0
     assert received == [(t, r) for t, s in sent for r in range(n) if r != s]
-
-
-def test_recent_events_keep_one_delivery_row_per_receiver():
-    # Catches recent_events() returning the fan-out event as a single row (its
-    # head would hold the whole receiver list), or its receivers out of order;
-    # either would change the invariant_trace.csv format.
-    sim = _hello_only_static_sim()
-    sim.run()
-    rows = sim.recent_events()
-    n = sim.cfg.node_count
-    completions = [(t, head) for t, kind, head in rows if kind == "TRANSMIT_COMPLETE"]
-    deliveries = [(t, head) for t, kind, head in rows if kind == "PACKET_DELIVERY"]
-    assert completions
-    assert deliveries == [(t, (r,)) for t, (s,) in completions for r in range(n) if r != s]
-
-
-def test_recent_events_keep_the_last_rows():
-    sim = Simulation(make_cfg(sim_duration=120.0))
-    sim.run()
-    rows = sim.recent_events()
-    assert len(rows) == RECENT_EVENTS
-    assert rows[-1][0] <= 120.0
-    assert all(len(head) <= 1 and all(isinstance(v, int) for v in head) for _, _, head in rows)
 
 
 # -- bounded packet state ---------------------------------------------------

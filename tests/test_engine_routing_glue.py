@@ -1,7 +1,6 @@
 """Engine-level routing behavior: forwarding failures, retry policy, drops."""
 
 from cbrsim.engine import Simulation
-from cbrsim.routing import CachedRoute
 from cbrsim.traffic import Flow
 from conftest import static_cfg
 
@@ -48,7 +47,7 @@ def test_forwarding_failure_drops_packet_and_invalidates_source_cache():
     sim = Simulation(cfg, placement=island_placement(), flows=[flow])
     # pretend a route once existed; the next hop is out of range at transmit time
     source = sim.nodes[0]
-    source.router.cache[1] = CachedRoute(hops=(0, 1), created_at=0.0)
+    source.router.cache[1] = (0, 1)
     report = sim.run()
     assert report.drop_forward_fail >= 1
     assert 1 not in source.router.cache  # broken route forgotten
@@ -68,7 +67,7 @@ def test_retry_resolved_by_cached_route_clears_discovery():
     sim = Simulation(cfg, placement=island_placement())
     node = sim.nodes[0]
     node.router.discoveries[1] = 1
-    node.router.cache[1] = CachedRoute(hops=(0, 1), created_at=0.0)
+    node.router.cache[1] = (0, 1)
     sim._on_route_retry(0, 1, attempt=1)
     assert 1 not in node.router.discoveries
 

@@ -45,7 +45,6 @@ def rreq(request_id, origin, target, route, next_hop=0):
         recorded_route=route,
         next_hop=next_hop,
         size_bytes=control_size_bytes(len(route)),
-        created_at=0.0,
     )
 
 
@@ -57,7 +56,7 @@ def test_member_unicasts_one_copy_per_head():
     add_neighbor(state, 1, role=Role.CLUSTER_HEAD)
     add_neighbor(state, 2, role=Role.CLUSTER_HEAD)
     router = RouterState(node_id=4)
-    result = originate_rreq(router, state, target=9, now=0.0)
+    result = originate_rreq(router, state, target=9)
     assert result.installed is None
     assert [p.next_hop for p in result.packets] == [1, 2]
     assert len({p.request_id for p in result.packets}) == 1
@@ -68,16 +67,16 @@ def test_neighbor_target_answered_without_flooding():
     state = member_state(4, 1)
     add_neighbor(state, 9, role=Role.MEMBER)
     router = RouterState(node_id=4)
-    result = originate_rreq(router, state, target=9, now=0.0)
+    result = originate_rreq(router, state, target=9)
     assert result.installed == (4, 9)
     assert result.packets == []
-    assert router.cache[9].hops == (4, 9)
+    assert router.cache[9] == (4, 9)
 
 
 def test_headless_source_cannot_originate():
     state = make_state(4)
     router = RouterState(node_id=4)
-    result = originate_rreq(router, state, target=9, now=0.0)
+    result = originate_rreq(router, state, target=9)
     assert result.installed is None
     assert result.packets == []
 
@@ -89,7 +88,7 @@ def test_head_source_processes_locally_without_unicast_hop():
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
     )
     router = RouterState(node_id=1)
-    result = originate_rreq(router, head, target=9, now=0.0)
+    result = originate_rreq(router, head, target=9)
     # fan-out goes straight to the gateway; the head itself adds no hop
     assert result.installed is None
     assert [p.next_hop for p in result.packets] == [4]
@@ -103,8 +102,8 @@ def test_duplicate_request_dropped():
     state = member_state(2, 1)
     router = RouterState(node_id=2)
     packet = rreq((9, 1), 9, 5, (9,))
-    first = process_rreq(router, state, packet, 0.0)
-    second = process_rreq(router, state, packet, 0.0)
+    first = process_rreq(router, state, packet)
+    second = process_rreq(router, state, packet)
     assert second.reply is None and second.forwards == ()
 
 
@@ -112,14 +111,14 @@ def test_request_revisiting_node_dropped():
     state = member_state(2, 1)
     router = RouterState(node_id=2)
     packet = rreq((9, 1), 9, 5, (9, 2, 7))
-    result = process_rreq(router, state, packet, 0.0)
+    result = process_rreq(router, state, packet)
     assert result.reply is None and result.forwards == ()
 
 
 def test_target_replies_with_completed_route():
     state = member_state(5, 1)
     router = RouterState(node_id=5)
-    result = process_rreq(router, state, rreq((9, 1), 9, 5, (9, 1)), 0.0)
+    result = process_rreq(router, state, rreq((9, 1), 9, 5, (9, 1)))
     assert result.forwards == []
     assert result.reply is not None
     assert result.reply.route == (9, 1, 5)
@@ -130,7 +129,7 @@ def test_node_with_target_as_bidirectional_neighbor_replies():
     head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
     add_neighbor(head, 5, role=Role.MEMBER)
     router = RouterState(node_id=1)
-    result = process_rreq(router, head, rreq((9, 1), 9, 5, (9,)), 0.0)
+    result = process_rreq(router, head, rreq((9, 1), 9, 5, (9,)))
     assert result.reply.route == (9, 1, 5)
 
 
@@ -143,7 +142,7 @@ def test_head_forwards_one_copy_per_neighboring_cluster():
             advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
         )
     router = RouterState(node_id=1)
-    result = process_rreq(router, head, rreq((9, 1), 9, 42, (9,)), 0.0)
+    result = process_rreq(router, head, rreq((9, 1), 9, 42, (9,)))
     assert [p.next_hop for p in result.forwards] == [3]
     assert result.forwards[0].recorded_route == (9, 1)
 
@@ -173,7 +172,7 @@ def test_head_copies_only_toward_other_clusters(neighbors, copies):
     for nid, (role, table) in neighbors.items():
         add_neighbor(head, nid, role=role, advertised_neighbors=table)
     router = RouterState(node_id=1)
-    result = process_rreq(router, head, rreq((9, 6), 9, 42, (9,)), 0.0)
+    result = process_rreq(router, head, rreq((9, 6), 9, 42, (9,)))
     assert [p.next_hop for p in result.forwards] == copies
 
 
@@ -184,7 +183,7 @@ def test_head_skips_clusters_already_on_route():
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
     )
     router = RouterState(node_id=1)
-    result = process_rreq(router, head, rreq((9, 2), 9, 42, (9, 6)), 0.0)
+    result = process_rreq(router, head, rreq((9, 2), 9, 42, (9, 6)))
     assert result.forwards == []
 
 
@@ -196,7 +195,7 @@ def test_border_member_relays_toward_foreign_cluster():
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 7: (True, Role.MEMBER)},
     )
     router = RouterState(node_id=1)
-    result = process_rreq(router, head, rreq((9, 3), 9, 42, (9,)), 0.0)
+    result = process_rreq(router, head, rreq((9, 3), 9, 42, (9,)))
     assert [p.next_hop for p in result.forwards] == [3]
 
 
@@ -212,7 +211,7 @@ def test_member_relays_to_heads_and_foreign_members_only():
         advertised_neighbors={8: (True, Role.CLUSTER_HEAD)},
     )  # member of a foreign cluster
     router = RouterState(node_id=4)
-    result = process_rreq(router, state, rreq((9, 4), 9, 42, (9, 1)), 0.0)
+    result = process_rreq(router, state, rreq((9, 4), 9, 42, (9, 1)))
     assert [p.next_hop for p in result.forwards] == [6, 7]
 
 
@@ -220,14 +219,14 @@ def test_undecided_node_drops_requests():
     state = make_state(4)
     add_neighbor(state, 6, role=Role.CLUSTER_HEAD, bidirectional=False)
     router = RouterState(node_id=4)
-    result = process_rreq(router, state, rreq((9, 5), 9, 42, (9,)), 0.0)
+    result = process_rreq(router, state, rreq((9, 5), 9, 42, (9,)))
     assert result.reply is None and result.forwards == []
 
 
 def test_recorded_route_never_repeats_ids():
     state = member_state(2, 1)
     router = RouterState(node_id=2)
-    result = process_rreq(router, state, rreq((9, 9), 9, 42, (9, 1)), 0.0)
+    result = process_rreq(router, state, rreq((9, 9), 9, 42, (9, 1)))
     for copy in result.forwards:
         assert len(set(copy.recorded_route)) == len(copy.recorded_route)
 
@@ -338,34 +337,33 @@ def test_reply_forwarded_hop_by_hop_then_installed():
     route = (9, 1, 5)
     mid = member_state(1, 9)
     router_mid = RouterState(node_id=1)
-    reply = process_rreq(RouterState(node_id=5), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1)), 0.0).reply
-    kind, pkt = process_rrep(router_mid, mid, reply, 0.0)
+    reply = process_rreq(RouterState(node_id=5), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1))).reply
+    kind, pkt = process_rrep(router_mid, mid, reply)
     assert kind == "forward" and pkt.next_hop == 9
     src_router = RouterState(node_id=9)
     src_state = member_state(9, 1)
-    kind, dst = process_rrep(src_router, src_state, pkt, 0.0)
+    kind, dst = process_rrep(src_router, src_state, pkt)
     assert kind == "installed" and dst == 5
-    assert src_router.cache[5].hops == route
+    assert src_router.cache[5] == route
 
 
 def test_reply_at_node_off_route_is_hard_error():
     router = RouterState(node_id=3)
     state = member_state(3, 1)
-    reply = process_rreq(RouterState(node_id=5), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1)), 0.0).reply
+    reply = process_rreq(RouterState(node_id=5), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1))).reply
     with pytest.raises(InvariantError):
-        process_rrep(router, state, reply, 0.0)
+        process_rrep(router, state, reply)
 
 
 def test_newest_route_wins_cache():
     router = RouterState(node_id=9)
     state = member_state(9, 1)
     add_neighbor(state, 5, role=Role.MEMBER)
-    originate_rreq(router, state, 5, now=0.0)
-    assert router.cache[5].hops == (9, 5)
-    reply = process_rreq(RouterState(node_id=5), member_state(5, 1), rreq((9, 7), 9, 5, (9, 1)), 1.0).reply
-    process_rrep(router, state, reply, 1.0)
-    assert router.cache[5].hops == (9, 1, 5)
-    assert router.cache[5].created_at == 1.0
+    originate_rreq(router, state, 5)
+    assert router.cache[5] == (9, 5)
+    reply = process_rreq(RouterState(node_id=5), member_state(5, 1), rreq((9, 7), 9, 5, (9, 1))).reply
+    process_rrep(router, state, reply)
+    assert router.cache[5] == (9, 1, 5)
 
 
 # -- data forwarding ---------------------------------------------------------
