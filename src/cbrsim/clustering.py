@@ -24,6 +24,15 @@ hello sent rather than once per hello received.
 Hello tables are derived once, by the sender: a hello carries its table as a
 read-only, id-ordered mapping together with the set of heads it lists over a
 bidirectional link, and every receiver's neighbor entry shares both objects.
+The sender keeps that pair (``table_snapshot``) and reuses it for later hellos
+until a link, a role or an entry of its table changes: ``set_link_role``
+changing either field, a hello from a new neighbor, and an expiry each drop it.
+
+Most hello receipts and expiry scans change nothing: the link and role a hello
+reports match the entry, and the election keeps the role and asks for no
+hello.  Such a receipt writes neither the entry's link and role nor the
+adjacent sets, and such a step returns its role's shared outcome from
+``STEADY_OUTCOMES`` instead of building a new ``ElectionOutcome``.
 
 Each node keeps, in place rather than rescanning its table per election or
 per relayed route request, its neighbors that have a bidirectional link and
@@ -47,6 +56,10 @@ from .errors import InvariantError
 
 
 class Role(Enum):
+    # Identity hash: STEADY_OUTCOMES is indexed by role on every hello
+    # receipt, and Enum's own __hash__ is a Python-level call.
+    __hash__ = object.__hash__
+
     UNDECIDED = "undecided"
     CLUSTER_HEAD = "head"
     MEMBER = "member"
@@ -137,7 +150,7 @@ class NeighborEntry:
             self.advertised_heads = advertised_head_ids(self.advertised_neighbors)
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeClusterState:
     node_id: int
     protocol: Protocol
@@ -157,13 +170,18 @@ class NodeClusterState:
     adjacent_members: dict[int, NeighborEntry] = field(default_factory=dict, init=False)
     # Cached own_mobility; None marks it stale after the table changed.
     _mobility: float | None = field(default=0.0, init=False, repr=False)
+    # Kept table_snapshot; None marks it stale after a link, role or entry
+    # changed.
+    _snapshot: tuple[NeighborTable, frozenset[int]] | None = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def own_mobility(self) -> float:
         """Aggregate mobility over the live samples, in table order."""
         if self._mobility is None:
             self._mobility = aggregate_mobility(
-                [e.rel_mobility for e in self.neighbors.values() if e.rel_mobility is not None]
+                e.rel_mobility for e in self.neighbors.values() if e.rel_mobility is not None
             )
         return self._mobility
 
@@ -182,7 +200,9 @@ class NodeClusterState:
 
 class ElectionOutcome:
     """The role transition of one election step, and whether it calls for a
-    triggered hello.  A plain slotted class: one is built per hello receipt."""
+    triggered hello.  A plain slotted class.  The ``STEADY_OUTCOMES`` entries
+    are shared by every step that keeps its role, so no caller may modify an
+    outcome."""
 
     __slots__ = ("old_role", "new_role", "send_hello", "changed")
 
@@ -191,6 +211,11 @@ class ElectionOutcome:
         self.new_role = new_role
         self.send_hello = send_hello
         self.changed = old_role is not new_role
+
+
+# One outcome per role, shared by every step that keeps the role and asks
+# for no hello.
+STEADY_OUTCOMES = {role: ElectionOutcome(role, role, False) for role in Role}
 
 
 def relative_mobility(pr_new: float, pr_old: float) -> float:
@@ -203,23 +228,19 @@ def relative_mobility(pr_new: float, pr_old: float) -> float:
     return 10.0 * math.log10(pr_new / pr_old)
 
 
-def sum_in_order(values: Iterable[float]) -> float:
-    """Left-to-right double-precision sum, the same on every Python version
-    (from 3.12 the built-in ``sum()`` compensates rounding)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
-def aggregate_mobility(samples: list[float]) -> float:
+def aggregate_mobility(samples: Iterable[float]) -> float:
     """Variance about zero (mean of squares) of relative-mobility samples.
+    The squares are summed left to right in one pass, so the value is the
+    same on every Python version (from 3.12 ``sum()`` compensates rounding).
 
     An empty sample set yields 0, the value every node starts from.
     """
-    if not samples:
-        return 0.0
-    return sum_in_order(s * s for s in samples) / len(samples)
+    total = 0.0
+    count = 0
+    for s in samples:
+        total += s * s
+        count += 1
+    return total / count if count else 0.0
 
 
 def hello_size_bytes(entry_count: int, protocol: Protocol) -> int:
@@ -229,11 +250,21 @@ def hello_size_bytes(entry_count: int, protocol: Protocol) -> int:
     return size
 
 
+def table_snapshot(state: NodeClusterState) -> tuple[NeighborTable, frozenset[int]]:
+    """The node's table as a hello carries it, with its advertised heads:
+    built when stale, otherwise the pair built for an earlier hello."""
+    snapshot = state._snapshot
+    if snapshot is None:
+        table = MappingProxyType(
+            {nid: (e.link is BIDIRECTIONAL, e.role) for nid, e in sorted(state.neighbors.items())}
+        )
+        snapshot = state._snapshot = (table, advertised_head_ids(table))
+    return snapshot
+
+
 def build_hello(state: NodeClusterState) -> HelloMessage:
     """Snapshot the node's table into a hello broadcast."""
-    table = MappingProxyType(
-        {nid: (e.link is BIDIRECTIONAL, e.role) for nid, e in sorted(state.neighbors.items())}
-    )
+    table, heads = table_snapshot(state)
     mobility = state.own_mobility
     state.broadcast_mobility = mobility
     return HelloMessage(
@@ -241,7 +272,7 @@ def build_hello(state: NodeClusterState) -> HelloMessage:
         sender_role=state.role,
         sender_mobility=mobility,
         neighbor_table=table,
-        advertised_heads=advertised_head_ids(table),
+        advertised_heads=heads,
         size_bytes=hello_size_bytes(len(table), state.protocol),
     )
 
@@ -269,20 +300,20 @@ def on_hello_received(
             advertised_neighbors=advertised,
             advertised_heads=hello.advertised_heads,
         )
+        state._snapshot = None
+        set_link_role(state, entry, link, role)
     else:
         entry.advertised_mobility = hello.sender_mobility
-        entry.prev_rx_power = entry.last_rx_power
+        prev = entry.prev_rx_power = entry.last_rx_power
         entry.last_rx_power = rx_power
-        entry.rel_mobility = relative_mobility(rx_power, entry.prev_rx_power)
+        entry.rel_mobility = relative_mobility(rx_power, prev)
         entry.expires_at = now + state.neighbor_timeout
         entry.advertised_neighbors = advertised
         entry.advertised_heads = hello.advertised_heads
-    set_link_role(state, entry, link, role)
+        if entry.link is not link or entry.role is not role:
+            set_link_role(state, entry, link, role)
     state._mobility = None
-    old_role = state.role
-    send = run_election(state, now)
-    check_invariants(state)
-    return ElectionOutcome(old_role, state.role, send)
+    return _election_step(state, now)
 
 
 def expire_neighbors(
@@ -296,20 +327,33 @@ def expire_neighbors(
         state.adjacent_members.pop(nid, None)
     if removed:
         state._mobility = None
+        state._snapshot = None
+    return removed, _election_step(state, now)
+
+
+def _election_step(state: NodeClusterState, now: float) -> ElectionOutcome:
+    """Run the election and check the invariants.  A step that keeps the role
+    and sends no hello returns the role's shared ``STEADY_OUTCOMES`` entry."""
     old_role = state.role
     send = run_election(state, now)
     check_invariants(state)
-    return removed, ElectionOutcome(old_role, state.role, send)
+    new_role = state.role
+    if new_role is old_role and not send:
+        return STEADY_OUTCOMES[new_role]
+    return ElectionOutcome(old_role, new_role, send)
 
 
 def set_link_role(
     state: NodeClusterState, entry: NeighborEntry, link: LinkDirection, role: Role
 ) -> None:
     """Set a table entry's link and role, keeping ``state.adjacent_heads`` and
-    ``state.adjacent_members`` in step: the only code that writes either field
-    of an entry in the table."""
-    entry.link = link
-    entry.role = role
+    ``state.adjacent_members`` in step, and dropping the kept table snapshot
+    when either field changes: the only code that writes either field of an
+    entry in the table."""
+    if entry.link is not link or entry.role is not role:
+        entry.link = link
+        entry.role = role
+        state._snapshot = None
     nid = entry.neighbor_id
     heads, members = state.adjacent_heads, state.adjacent_members
     if link is BIDIRECTIONAL and role is MEMBER:

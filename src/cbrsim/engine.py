@@ -15,13 +15,14 @@ arriving at a full queue evicts the newest data packet rather than being
 lost.
 
 A hello broadcast is delivered in one pass.  When its transmission completes,
-every node's position is read once, and the nodes in range are listed in id
-order with their distances from the sender.  One delivery event then hands
-the hello to each of them in that order.  One event per receiver would run
-the same way: those events would carry consecutive sequence numbers at one
-instant, so no other event could run between them, and whatever they
-schedule comes after the last of them.  Reception power, with its fading
-draw, is evaluated at delivery, in receiver order.
+the sender's position is read, then one loop over the other nodes reads each
+position once and lists the nodes in range, in id order, with their distances
+from the sender.  One delivery event then hands the hello to each of them in
+that order.  One event per receiver would run the same way: those events
+would carry consecutive sequence numbers at one instant, so no other event
+could run between them, and whatever they schedule comes after the last of
+them.  Reception power, with its fading draw, is evaluated at delivery, in
+receiver order.
 
 Most events are deliveries scheduled for the instant they are sent, so those
 skip the heap.  ``schedule`` still draws a sequence number for every event, but
@@ -365,25 +366,30 @@ class Simulation:
 
     def _hello_receivers(self, sender_id: int, range_sq: float) -> list[tuple[int, float]]:
         """(node id, distance) of every node a hello from ``sender_id`` reaches
-        now, in id order; each node's position is read once, with the leg
-        check of ``position_of``."""
+        now, in id order; each node's position, the sender's first, is read
+        once, with the leg check of ``position_of``."""
         now = self.now
-        positions = []
+        sender = self.nodes[sender_id]
+        leg = sender.leg
+        if now > leg.pause_until:
+            raise InvariantError(f"position query at t={now} beyond node {sender_id}'s leg")
+        sx, sy = position_at(leg, now)
+        hypot = math.hypot
+        receivers = []
         for other in self.nodes:
+            if other is sender:
+                continue
             leg = other.leg
             if now > leg.pause_until:
                 raise InvariantError(
                     f"position query at t={now} beyond node {other.node_id}'s leg"
                 )
-            positions.append(position_at(leg, now))
-        sx, sy = positions[sender_id]
-        receivers = []
-        for other_id, (x, y) in enumerate(positions):
+            x, y = position_at(leg, now)
             dx = x - sx
             dy = y - sy
-            if dx * dx + dy * dy <= range_sq and other_id != sender_id:
+            if dx * dx + dy * dy <= range_sq:
                 # Same bits as math.dist(sender position, receiver position).
-                receivers.append((other_id, math.hypot(dx, dy)))
+                receivers.append((other.node_id, hypot(dx, dy)))
         return receivers
 
     # -- reception path -----------------------------------------------------
@@ -441,7 +447,7 @@ class Simulation:
             node = nodes[recipient_id]
             if trace is not None:
                 trace.append((now, recipient_id, "receive", type(hello).__name__))
-            rx_power = tx_power * channel_gain(channel, max(distance, d0), rng)
+            rx_power = tx_power * channel_gain(channel, d0 if distance < d0 else distance, rng)
             outcome = clustering.on_hello_received(node.cluster, hello, rx_power, now)
             if outcome.changed or outcome.send_hello:
                 self._apply_election_outcome(node, outcome)
@@ -469,7 +475,8 @@ class Simulation:
     def _on_expiry_scan(self, node_id: int) -> None:
         node = self.nodes[node_id]
         removed, outcome = clustering.expire_neighbors(node.cluster, self.now)
-        self._apply_election_outcome(node, outcome)
+        if outcome.changed or outcome.send_hello:
+            self._apply_election_outcome(node, outcome)
         self.schedule(
             self.now + self.cfg.hello_interval / 2.0,
             EventKind.NEIGHBOR_EXPIRY_SCAN,

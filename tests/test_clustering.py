@@ -17,6 +17,7 @@ from cbrsim.clustering import (
     on_hello_received,
     relative_mobility,
     run_election,
+    table_snapshot,
 )
 from cbrsim.config import Protocol
 from cbrsim.routing import RouterState, RouteRequestPacket, control_size_bytes, process_rreq
@@ -452,6 +453,7 @@ def test_caches_match_their_sources(protocol, steps):
     state = make_state(0, protocol=protocol)
     now = 0.0
     sent = []  # (hello, table as it was built)
+    kept, kept_table = table_snapshot(state), {}
     for step in steps:
         if step[0] == "hello":
             _, sid, table, role, power, mobility, dt, read = step
@@ -483,6 +485,18 @@ def test_caches_match_their_sources(protocol, steps):
         assert all(state.adjacent_members[nid] is e for nid, e in members.items())
         if state.role is Role.MEMBER:
             assert state.head_ids == state.adjacent_heads
+        # The kept hello table: rebuilt after a link, role or entry changed,
+        # reused otherwise.  table_snapshot leaves broadcast_mobility alone.
+        fresh = {
+            nid: (e.link is LinkDirection.BIDIRECTIONAL, e.role)
+            for nid, e in sorted(state.neighbors.items())
+        }
+        table, heads = snapshot = table_snapshot(state)
+        assert list(table.items()) == list(fresh.items())
+        assert heads == advertised_head_ids(fresh)
+        if fresh == kept_table:
+            assert snapshot is kept
+        kept, kept_table = snapshot, fresh
     assert state.own_mobility == live_aggregate(state)
     for hello, table in sent:
         assert dict(hello.neighbor_table) == table

@@ -6,9 +6,10 @@
 
 Each revision is exported with ``git archive`` into its own temporary tree, so
 neither side sees the working copy.  Pair ``i`` runs
-``perfbench/run.py --workload W --seed i --trace 0`` once in each tree, the
-base first in odd pairs and the change first in even ones, so a slow spell of
-the host falls on both sides.  The script prints every pair, then per
+``perfbench/run.py --workload W --seed i --seconds S --trace 0`` once in each
+tree (S is 30 unless ``--seconds`` says otherwise), the base first in odd
+pairs and the change first in even ones, so a slow spell of the host falls on
+both sides.  The script prints every pair, then per
 end-to-end metric each side's median and quartiles and in how many pairs the
 change did better (all four metrics are lower-is-better).  It exits 1 when a
 run fails or reports ``correct: false``.  Uncommitted work can be measured
@@ -43,11 +44,11 @@ def export(repo: Path, rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def run_once(tree: Path, workload: str, seed: int, held_out: bool) -> dict:
+def run_once(tree: Path, workload: str, seed: int, held_out: bool, seconds: float) -> dict:
     """One perfbench run; its last stdout line parsed as JSON."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--trace", "0",
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
     ]
     if held_out:
         cmd.append("--held-out")
@@ -59,6 +60,19 @@ def run_once(tree: Path, workload: str, seed: int, held_out: bool) -> dict:
     return json.loads(lines[-1])
 
 
+def summarize(base: list[float], change: list[float]) -> dict:
+    """Each side's median and inclusive quartiles, and the pairs in which the
+    change read strictly lower (a tie is no win)."""
+    # Inclusive quartiles interpolate between sorted runs: 3.25 and 7.75 for 1..10.
+    bq1, bmed, bq3 = statistics.quantiles(base, n=4, method="inclusive")
+    cq1, cmed, cq3 = statistics.quantiles(change, n=4, method="inclusive")
+    return {
+        "base": (bq1, bmed, bq3),
+        "change": (cq1, cmed, cq3),
+        "wins": sum(c < b for b, c in zip(base, change)),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
@@ -66,6 +80,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", default="HEAD~1", help="revision measured as the parent")
     parser.add_argument("--change", default="HEAD", help="revision measured as the change")
     parser.add_argument("--held-out", action="store_true", help="passed to perfbench")
+    parser.add_argument(
+        "--seconds", type=float, default=30.0, help="passed to perfbench (default 30)"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -82,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
             seed = i + 1
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                out = run_once(sides[side], args.workload, seed, args.held_out)
+                out = run_once(sides[side], args.workload, seed, args.held_out, args.seconds)
                 ok = ok and out["correct"] and out["failed"] == 0
                 results[side].append(out)
             row = "  ".join(
@@ -99,15 +116,13 @@ def main(argv: list[str] | None = None) -> int:
     for m in METRICS:
         base = [r["metrics"][m]["value"] for r in results["base"]]
         change = [r["metrics"][m]["value"] for r in results["change"]]
-        wins = sum(c < b for b, c in zip(base, change))
-        # Inclusive quartiles interpolate between sorted runs: 3.25 and 7.75 for 1..10.
-        bq1, bmed, bq3 = statistics.quantiles(base, n=4, method="inclusive")
-        cq1, cmed, cq3 = statistics.quantiles(change, n=4, method="inclusive")
+        stats = summarize(base, change)
+        (bq1, bmed, bq3), (cq1, cmed, cq3) = stats["base"], stats["change"]
         print(
             f"{m:12s} base {bmed:.3f} [{bq1:.3f}, {bq3:.3f}]"
             f"  change {cmed:.3f} [{cq1:.3f}, {cq3:.3f}]"
             f"  {100.0 * (cmed - bmed) / bmed:+.1f}%"
-            f"  change won {wins}/{args.pairs}  base IQR {bq3 - bq1:.3f}"
+            f"  change won {stats['wins']}/{args.pairs}  base IQR {bq3 - bq1:.3f}"
         )
     print(f"all runs correct with 0 failed: {ok}")
     return 0 if ok else 1
