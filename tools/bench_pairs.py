@@ -9,11 +9,11 @@ neither side sees the working copy.  Pair ``i`` runs
 ``perfbench/run.py --workload W --seed i --seconds S --trace 0`` once in each
 tree (S is 30 unless ``--seconds`` says otherwise), the base first in odd
 pairs and the change first in even ones, so a slow spell of the host falls on
-both sides.  The script prints every pair, then per
-end-to-end metric each side's median and quartiles and in how many pairs the
-change did better (all four metrics are lower-is-better).  It exits 1 when a
-run fails or reports ``correct: false``.  Uncommitted work can be measured
-with ``--change $(git stash create)``.  Stdlib only.
+both sides.  The script prints every pair, then per end-to-end metric each
+side's median and quartiles and in how many pairs the change did better (all
+four metrics are lower-is-better).  It exits 1 when a run fails or reports
+``correct: false``.  Uncommitted work can be measured with
+``--change $(git stash create)``.  Stdlib only.
 """
 
 from __future__ import annotations
