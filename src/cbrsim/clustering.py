@@ -26,13 +26,11 @@ read-only, id-ordered mapping together with the set of heads it lists over a
 bidirectional link, and every receiver's neighbor entry shares both objects.
 The sender keeps that pair (``table_snapshot``) and reuses it for later hellos
 until a link, a role or an entry of its table changes: ``set_link_role``
-changing either field, a hello from a new neighbor, and an expiry each drop it.
+(called for a new entry or a changed link or role) and an expiry drop it.
 
-Most hello receipts and expiry scans change nothing: the link and role a hello
-reports match the entry, and the election keeps the role and asks for no
-hello.  Such a receipt writes neither the entry's link and role nor the
-adjacent sets, and such a step returns its role's shared outcome from
-``STEADY_OUTCOMES`` instead of building a new ``ElectionOutcome``.
+Most hello receipts change nothing in the table's links and roles: the link
+and role a hello reports match the entry.  Such a receipt writes neither the
+entry's link and role nor the adjacent sets.
 
 Each node keeps, in place rather than rescanning its table per election or
 per relayed route request, its neighbors that have a bidirectional link and
@@ -56,10 +54,6 @@ from .errors import InvariantError
 
 
 class Role(Enum):
-    # Identity hash: STEADY_OUTCOMES is indexed by role on every hello
-    # receipt, and Enum's own __hash__ is a Python-level call.
-    __hash__ = object.__hash__
-
     UNDECIDED = "undecided"
     CLUSTER_HEAD = "head"
     MEMBER = "member"
@@ -181,7 +175,7 @@ class NodeClusterState:
         """Aggregate mobility over the live samples, in table order."""
         if self._mobility is None:
             self._mobility = aggregate_mobility(
-                e.rel_mobility for e in self.neighbors.values() if e.rel_mobility is not None
+                [e.rel_mobility for e in self.neighbors.values() if e.rel_mobility is not None]
             )
         return self._mobility
 
@@ -200,9 +194,7 @@ class NodeClusterState:
 
 class ElectionOutcome:
     """The role transition of one election step, and whether it calls for a
-    triggered hello.  A plain slotted class.  The ``STEADY_OUTCOMES`` entries
-    are shared by every step that keeps its role, so no caller may modify an
-    outcome."""
+    triggered hello.  A plain slotted class: one is built per hello receipt."""
 
     __slots__ = ("old_role", "new_role", "send_hello", "changed")
 
@@ -211,11 +203,6 @@ class ElectionOutcome:
         self.new_role = new_role
         self.send_hello = send_hello
         self.changed = old_role is not new_role
-
-
-# One outcome per role, shared by every step that keeps the role and asks
-# for no hello.
-STEADY_OUTCOMES = {role: ElectionOutcome(role, role, False) for role in Role}
 
 
 def relative_mobility(pr_new: float, pr_old: float) -> float:
@@ -228,19 +215,23 @@ def relative_mobility(pr_new: float, pr_old: float) -> float:
     return 10.0 * math.log10(pr_new / pr_old)
 
 
-def aggregate_mobility(samples: Iterable[float]) -> float:
+def sum_in_order(values: Iterable[float]) -> float:
+    """Left-to-right double-precision sum, the same on every Python version
+    (from 3.12 the built-in ``sum()`` compensates rounding)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def aggregate_mobility(samples: list[float]) -> float:
     """Variance about zero (mean of squares) of relative-mobility samples.
-    The squares are summed left to right in one pass, so the value is the
-    same on every Python version (from 3.12 ``sum()`` compensates rounding).
 
     An empty sample set yields 0, the value every node starts from.
     """
-    total = 0.0
-    count = 0
-    for s in samples:
-        total += s * s
-        count += 1
-    return total / count if count else 0.0
+    if not samples:
+        return 0.0
+    return sum_in_order(s * s for s in samples) / len(samples)
 
 
 def hello_size_bytes(entry_count: int, protocol: Protocol) -> int:
@@ -300,7 +291,6 @@ def on_hello_received(
             advertised_neighbors=advertised,
             advertised_heads=hello.advertised_heads,
         )
-        state._snapshot = None
         set_link_role(state, entry, link, role)
     else:
         entry.advertised_mobility = hello.sender_mobility
@@ -332,28 +322,23 @@ def expire_neighbors(
 
 
 def _election_step(state: NodeClusterState, now: float) -> ElectionOutcome:
-    """Run the election and check the invariants.  A step that keeps the role
-    and sends no hello returns the role's shared ``STEADY_OUTCOMES`` entry."""
+    """Run the election and check the invariants."""
     old_role = state.role
     send = run_election(state, now)
     check_invariants(state)
-    new_role = state.role
-    if new_role is old_role and not send:
-        return STEADY_OUTCOMES[new_role]
-    return ElectionOutcome(old_role, new_role, send)
+    return ElectionOutcome(old_role, state.role, send)
 
 
 def set_link_role(
     state: NodeClusterState, entry: NeighborEntry, link: LinkDirection, role: Role
 ) -> None:
     """Set a table entry's link and role, keeping ``state.adjacent_heads`` and
-    ``state.adjacent_members`` in step, and dropping the kept table snapshot
-    when either field changes: the only code that writes either field of an
-    entry in the table."""
-    if entry.link is not link or entry.role is not role:
-        entry.link = link
-        entry.role = role
-        state._snapshot = None
+    ``state.adjacent_members`` in step and dropping the kept table snapshot:
+    the only code that writes either field of an entry in the table.  A hello
+    receipt calls it only for a new entry or a changed link or role."""
+    entry.link = link
+    entry.role = role
+    state._snapshot = None
     nid = entry.neighbor_id
     heads, members = state.adjacent_heads, state.adjacent_members
     if link is BIDIRECTIONAL and role is MEMBER:

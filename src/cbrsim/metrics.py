@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .clustering import Role
+from .clustering import Role, sum_in_order
 from .config import ScenarioConfig
 from .errors import InvariantError
 
@@ -194,15 +194,6 @@ def aggregate(reports: list[RunReport]) -> dict[str, MetricStats]:
         std = _sample_std(values, mean) if len(values) > 1 else None
         stats[metric] = MetricStats(mean=mean, stddev=std, n=len(values))
     return stats
-
-
-def sum_in_order(values: list[float]) -> float:
-    """Left-to-right double-precision sum, the same on every Python version
-    (from 3.12 the built-in ``sum()`` compensates rounding)."""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
 
 
 def _mean(values: list[float]) -> float:

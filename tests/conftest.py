@@ -103,7 +103,6 @@ def add_neighbor(
         advertised_neighbors=advertised_neighbors or {},
     )
     state.neighbors[neighbor_id] = entry
-    state._snapshot = None  # a new entry stales the kept hello table, as in on_hello_received
     set_link_role(state, entry, entry.link, entry.role)
     return entry
 

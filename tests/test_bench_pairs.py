@@ -21,21 +21,3 @@ def test_a_tie_is_no_win():
     assert bench_pairs.summarize(base, change)["wins"] == 1
     assert bench_pairs.summarize(base, base)["wins"] == 0
 
-
-def test_seconds_pass_through_to_perfbench(monkeypatch):
-    calls = []
-
-    class Done:
-        returncode = 0
-        stdout = '{"correct": true}\n'
-        stderr = ""
-
-    def fake_run(cmd, **kwargs):
-        calls.append(cmd)
-        return Done()
-
-    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
-    bench_pairs.run_once(Path("."), "desk-mobile", 3, False, 7.5)
-    bench_pairs.run_once(Path("."), "desk-mobile", 3, True, 30.0)
-    assert calls[0][calls[0].index("--seconds") + 1] == "7.5"
-    assert "--held-out" in calls[1] and "--held-out" not in calls[0]

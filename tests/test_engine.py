@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cbrsim.clustering
 import cbrsim.engine
-from cbrsim.clustering import STEADY_OUTCOMES, LinkDirection, Role, build_hello
+from cbrsim.clustering import LinkDirection, build_hello
 from cbrsim.config import Protocol, ScenarioConfig
 from cbrsim.engine import EventKind, Simulation
 from cbrsim.errors import InvariantError
@@ -339,31 +339,6 @@ def test_traced_fan_out_keeps_one_receive_row_per_receiver():
     ]
     assert len(sent) == report.hello_sent > 0
     assert received == [(t, r) for t, s in sent for r in range(n) if r != s]
-
-
-@pytest.mark.parametrize("protocol", list(Protocol))
-def test_shared_steady_outcomes_stay_unchanged_over_a_desk_run(protocol):
-    # Hello receipts and expiry scans that keep their role return one shared
-    # outcome per role; catches a caller that writes to one.
-    cfg = make_cfg(
-        node_count=25,
-        area_width=500.0,
-        area_height=500.0,
-        max_speed=20.0,
-        hello_interval=1.0,
-        neighbor_timeout=3.0,
-        sim_duration=90.0,
-        flow_count=10,
-        packet_rate=4.0,
-        protocol=protocol,
-        rng_seed=0,
-    )
-    report = Simulation(cfg).run()
-    assert report.hello_sent > 0 and report.ch_changes > 0
-    for role in Role:
-        outcome = STEADY_OUTCOMES[role]
-        assert outcome.old_role is outcome.new_role is role
-        assert outcome.send_hello is False and outcome.changed is False
 
 
 # -- bounded packet state ---------------------------------------------------

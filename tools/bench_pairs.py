@@ -6,14 +6,13 @@
 
 Each revision is exported with ``git archive`` into its own temporary tree, so
 neither side sees the working copy.  Pair ``i`` runs
-``perfbench/run.py --workload W --seed i --seconds S --trace 0`` once in each
-tree (S is 30 unless ``--seconds`` says otherwise), the base first in odd
-pairs and the change first in even ones, so a slow spell of the host falls on
-both sides.  The script prints every pair, then per end-to-end metric each
-side's median and quartiles and in how many pairs the change did better (all
-four metrics are lower-is-better).  It exits 1 when a run fails or reports
-``correct: false``.  Uncommitted work can be measured with
-``--change $(git stash create)``.  Stdlib only.
+``perfbench/run.py --workload W --seed i --trace 0`` once in each tree, the
+base first in odd pairs and the change first in even ones, so a slow spell of
+the host falls on both sides.  The script prints every pair, then per
+end-to-end metric each side's median and quartiles and in how many pairs the
+change did better (all four metrics are lower-is-better).  It exits 1 when a
+run fails or reports ``correct: false``.  Uncommitted work can be measured
+with ``--change $(git stash create)``.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -44,11 +43,11 @@ def export(repo: Path, rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def run_once(tree: Path, workload: str, seed: int, held_out: bool, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, held_out: bool) -> dict:
     """One perfbench run; its last stdout line parsed as JSON."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+        "--seed", str(seed), "--trace", "0",
     ]
     if held_out:
         cmd.append("--held-out")
@@ -80,9 +79,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--base", default="HEAD~1", help="revision measured as the parent")
     parser.add_argument("--change", default="HEAD", help="revision measured as the change")
     parser.add_argument("--held-out", action="store_true", help="passed to perfbench")
-    parser.add_argument(
-        "--seconds", type=float, default=30.0, help="passed to perfbench (default 30)"
-    )
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -99,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
             seed = i + 1
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             for side in order:
-                out = run_once(sides[side], args.workload, seed, args.held_out, args.seconds)
+                out = run_once(sides[side], args.workload, seed, args.held_out)
                 ok = ok and out["correct"] and out["failed"] == 0
                 results[side].append(out)
             row = "  ".join(
