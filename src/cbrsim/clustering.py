@@ -30,7 +30,14 @@ until a link, a role or an entry of its table changes: ``set_link_role``
 
 Most hello receipts change nothing in the table's links and roles: the link
 and role a hello reports match the entry.  Such a receipt writes neither the
-entry's link and role nor the adjacent sets.
+entry's link and role nor the adjacent sets.  For a member, or a head with no
+adjacent head, it skips the election step and its invariant check as well, and
+so does an expiry scan that removes nothing.  That step would read only
+``adjacent_heads`` and ``head_ids``; only ``set_link_role``, an expiry removal
+or an earlier step writes them, and a step that leaves a node a member makes
+the two equal, so the last step that ran already left the outcome and the
+invariants as they stand.  Undecided nodes and heads with an adjacent head also
+read the time and advertised mobility, so they step on every receipt and scan.
 
 Each node keeps, in place rather than rescanning its table per election or
 per relayed route request, its neighbors that have a bidirectional link and
@@ -278,7 +285,8 @@ def on_hello_received(
     link = BIDIRECTIONAL if state.node_id in advertised else UNI_FROM_NEIGHBOR
     role = hello.sender_role
     entry = state.neighbors.get(sid)
-    if entry is None:
+    touched = entry is None
+    if touched:
         entry = state.neighbors[sid] = NeighborEntry(
             neighbor_id=sid,
             link=link,
@@ -291,7 +299,6 @@ def on_hello_received(
             advertised_neighbors=advertised,
             advertised_heads=hello.advertised_heads,
         )
-        set_link_role(state, entry, link, role)
     else:
         entry.advertised_mobility = hello.sender_mobility
         prev = entry.prev_rx_power = entry.last_rx_power
@@ -300,10 +307,11 @@ def on_hello_received(
         entry.expires_at = now + state.neighbor_timeout
         entry.advertised_neighbors = advertised
         entry.advertised_heads = hello.advertised_heads
-        if entry.link is not link or entry.role is not role:
-            set_link_role(state, entry, link, role)
+        touched = entry.link is not link or entry.role is not role
+    if touched:
+        set_link_role(state, entry, link, role)
     state._mobility = None
-    return _election_step(state, now)
+    return _election_step(state, now, touched)
 
 
 def expire_neighbors(
@@ -318,12 +326,19 @@ def expire_neighbors(
     if removed:
         state._mobility = None
         state._snapshot = None
-    return removed, _election_step(state, now)
+    return removed, _election_step(state, now, bool(removed))
 
 
-def _election_step(state: NodeClusterState, now: float) -> ElectionOutcome:
-    """Run the election and check the invariants."""
+def _election_step(state: NodeClusterState, now: float, touched: bool) -> ElectionOutcome:
+    """Run the election and check the invariants.  Skipped when the caller
+    changed no link, role or entry (``touched`` is false) and the node is a
+    member or a head with no adjacent head: nothing that step reads changed
+    since the last step that ran, and passed its check (module docstring)."""
     old_role = state.role
+    if not touched and (
+        old_role is MEMBER or (old_role is CLUSTER_HEAD and not state.adjacent_heads)
+    ):
+        return ElectionOutcome(old_role, old_role, False)
     send = run_election(state, now)
     check_invariants(state)
     return ElectionOutcome(old_role, state.role, send)

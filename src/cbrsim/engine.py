@@ -81,6 +81,17 @@ class EventKind(Enum):
     TRACE_SAMPLE = "trace_sample"
 
 
+# Module-level aliases for the handlers that schedule: an enum class attribute
+# lookup costs about ten times a global read.
+_PACKET_DELIVERY = EventKind.PACKET_DELIVERY
+_HELLO_TIMER = EventKind.HELLO_TIMER
+_TRAFFIC_EMIT = EventKind.TRAFFIC_EMIT
+_WAYPOINT_ARRIVAL = EventKind.WAYPOINT_ARRIVAL
+_NEIGHBOR_EXPIRY_SCAN = EventKind.NEIGHBOR_EXPIRY_SCAN
+_TRANSMIT_COMPLETE = EventKind.TRANSMIT_COMPLETE
+_ROUTE_RETRY_TIMEOUT = EventKind.ROUTE_RETRY_TIMEOUT
+
+
 class QueueOutcome(Enum):
     ACCEPTED = "accepted"
     DROPPED_INCOMING = "dropped_incoming"
@@ -170,6 +181,8 @@ class Simulation:
     ):
         self.cfg = cfg
         self.now = 0.0
+        self._range_sq = cfg.tx_range * cfg.tx_range
+        self._link_rate = cfg.link_rate
         self._heap: list = []
         self._lane: deque = deque()  # events at one instant, in seq order
         self._seq = itertools.count()
@@ -237,14 +250,14 @@ class Simulation:
         cfg = self.cfg
         for node in self.nodes:
             if math.isfinite(node.leg.pause_until):
-                self.schedule(node.leg.pause_until, EventKind.WAYPOINT_ARRIVAL, (node.node_id,))
+                self.schedule(node.leg.pause_until, _WAYPOINT_ARRIVAL, (node.node_id,))
             offset = node.hello_rng.uniform(0.0, cfg.hello_interval)
-            self.schedule(offset, EventKind.HELLO_TIMER, (node.node_id,))
-            self.schedule(cfg.hello_interval / 2.0, EventKind.NEIGHBOR_EXPIRY_SCAN, (node.node_id,))
+            self.schedule(offset, _HELLO_TIMER, (node.node_id,))
+            self.schedule(cfg.hello_interval / 2.0, _NEIGHBOR_EXPIRY_SCAN, (node.node_id,))
         stop = cfg.effective_traffic_stop
         for idx, flow in enumerate(self.flows):
             if flow.start_time < stop:
-                self.schedule(flow.start_time, EventKind.TRAFFIC_EMIT, (idx, 0))
+                self.schedule(flow.start_time, _TRAFFIC_EMIT, (idx, 0))
         if self._sample_period:
             self.schedule(0.0, EventKind.TRACE_SAMPLE, ())
 
@@ -295,7 +308,7 @@ class Simulation:
 
     def _enqueue_packet(self, node: Node, packet) -> None:
         outcome, evicted = node.queue.enqueue(packet)
-        if outcome is QueueOutcome.DROPPED_INCOMING:
+        if outcome is _DROPPED_INCOMING:
             if not packet.control:
                 self._drop_data(packet, FATE_QUEUE)
             return
@@ -307,8 +320,8 @@ class Simulation:
     def _start_transmission(self, node: Node) -> None:
         packet = node.queue.pop_head()
         node.queue.transmitting = packet
-        busy_until = self.now + packet.size_bytes * 8.0 / self.cfg.link_rate
-        self.schedule(busy_until, EventKind.TRANSMIT_COMPLETE, (node.node_id,))
+        busy_until = self.now + packet.size_bytes * 8.0 / self._link_rate
+        self.schedule(busy_until, _TRANSMIT_COMPLETE, (node.node_id,))
 
     def _on_transmit_complete(self, node_id: int) -> None:
         node = self.nodes[node_id]
@@ -318,12 +331,12 @@ class Simulation:
             raise InvariantError(f"node {node_id} completed an idle transmission")
         queue.transmitting = None
         now = self.now
-        range_sq = self.cfg.tx_range * self.cfg.tx_range
+        range_sq = self._range_sq
         if isinstance(packet, HelloMessage):
             self.ledger.hello_sent += 1
             receivers = self._hello_receivers(node_id, range_sq)
             if receivers:
-                self.schedule(now, EventKind.PACKET_DELIVERY, (receivers, packet, node_id))
+                self.schedule(now, _PACKET_DELIVERY, (receivers, packet, node_id))
         else:
             # Both legs checked as position_of does, the sender first.
             leg = node.leg
@@ -339,7 +352,7 @@ class Simulation:
             dy = oy - y
             reachable = dx * dx + dy * dy <= range_sq
             if reachable:
-                self.schedule(now, EventKind.PACKET_DELIVERY, (next_hop, packet, node_id))
+                self.schedule(now, _PACKET_DELIVERY, (next_hop, packet, node_id))
             if isinstance(packet, RouteRequestPacket):
                 self.ledger.rreq_sent += 1
                 if not reachable:
@@ -469,7 +482,7 @@ class Simulation:
         self._enqueue_packet(node, hello)
         jitter = 1.0 + 0.1 * node.hello_rng.uniform(-1.0, 1.0)
         self.schedule(
-            self.now + self.cfg.hello_interval * jitter, EventKind.HELLO_TIMER, (node_id,)
+            self.now + self.cfg.hello_interval * jitter, _HELLO_TIMER, (node_id,)
         )
 
     def _on_expiry_scan(self, node_id: int) -> None:
@@ -479,7 +492,7 @@ class Simulation:
             self._apply_election_outcome(node, outcome)
         self.schedule(
             self.now + self.cfg.hello_interval / 2.0,
-            EventKind.NEIGHBOR_EXPIRY_SCAN,
+            _NEIGHBOR_EXPIRY_SCAN,
             (node_id,),
         )
 
@@ -487,7 +500,7 @@ class Simulation:
         node = self.nodes[node_id]
         node.leg = next_leg(node.leg.destination, self.now, self.cfg, node.mobility_rng)
         if math.isfinite(node.leg.pause_until):
-            self.schedule(node.leg.pause_until, EventKind.WAYPOINT_ARRIVAL, (node_id,))
+            self.schedule(node.leg.pause_until, _WAYPOINT_ARRIVAL, (node_id,))
 
     # -- traffic and routing glue -------------------------------------------
 
@@ -505,7 +518,7 @@ class Simulation:
         self._dispatch_data(self.nodes[flow.src], packet)
         next_time = flow.start_time + (k + 1) / flow.rate
         if next_time < self.cfg.effective_traffic_stop:
-            self.schedule(next_time, EventKind.TRAFFIC_EMIT, (flow_idx, k + 1))
+            self.schedule(next_time, _TRAFFIC_EMIT, (flow_idx, k + 1))
 
     def _dispatch_data(self, node: Node, packet: DataPacket) -> None:
         cached = node.router.cache.get(packet.dst)
@@ -540,7 +553,7 @@ class Simulation:
             self.route_event_trace.append((self.now, "rreq_sent", destination, len(result.packets)))
         self.schedule(
             self.now + self.cfg.rreq_timeout,
-            EventKind.ROUTE_RETRY_TIMEOUT,
+            _ROUTE_RETRY_TIMEOUT,
             (node.node_id, destination, attempts),
         )
 

@@ -14,6 +14,8 @@ from cbrsim.clustering import (
     NeighborEntry,
     NodeClusterState,
     Role,
+    check_invariants,
+    run_election,
     set_link_role,
 )
 from cbrsim.config import Protocol, ScenarioConfig
@@ -112,6 +114,18 @@ def set_neighbor_role(state: NodeClusterState, neighbor_id: int, role: Role) -> 
     receipt takes, so the state's adjacent-head set follows."""
     entry = state.neighbors[neighbor_id]
     set_link_role(state, entry, entry.link, role)
+
+
+def assert_election_settled(state: NodeClusterState, now: float) -> None:
+    """A second election step at ``now`` changes nothing and the invariants
+    hold: what an election step may skip when its inputs did not change."""
+    role, heads = state.role, set(state.head_ids)
+    assert run_election(state, now) is False, f"node {state.node_id}: re-run asks for a hello"
+    assert state.role is role, f"node {state.node_id}: re-run moved {role} to {state.role}"
+    assert state.head_ids == heads, (
+        f"node {state.node_id}: re-run moved heads {heads} to {state.head_ids}"
+    )
+    check_invariants(state)
 
 
 def bidirectional_disc_adjacency(positions, tx_range):

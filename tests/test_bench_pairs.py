@@ -21,3 +21,27 @@ def test_a_tie_is_no_win():
     assert bench_pairs.summarize(base, change)["wins"] == 1
     assert bench_pairs.summarize(base, base)["wins"] == 0
 
+
+BASE = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]  # IQR 0.045
+
+
+def test_nine_wins_with_a_drop_above_the_iqr_meet_the_claim():
+    change = [b - 0.1 for b in BASE]
+    change[0] = 2.0
+    stats = bench_pairs.summarize(BASE, change)
+    assert stats["wins"] == 9
+    assert stats["claim_met"] is True
+
+
+def test_eight_wins_do_not_meet_the_claim():
+    change = [b - 0.1 for b in BASE]
+    change[0] = change[1] = 2.0
+    stats = bench_pairs.summarize(BASE, change)
+    assert stats["wins"] == 8
+    assert stats["claim_met"] is False
+
+
+def test_a_drop_inside_the_iqr_does_not_meet_the_claim():
+    stats = bench_pairs.summarize(BASE, [b - 0.01 for b in BASE])
+    assert stats["wins"] == 10
+    assert stats["claim_met"] is False

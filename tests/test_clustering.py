@@ -21,7 +21,7 @@ from cbrsim.clustering import (
 )
 from cbrsim.config import Protocol
 from cbrsim.routing import RouterState, RouteRequestPacket, control_size_bytes, process_rreq
-from conftest import add_neighbor, make_state, set_neighbor_role
+from conftest import add_neighbor, assert_election_settled, make_state, set_neighbor_role
 
 AFTER_WARMUP = 100.0
 
@@ -290,6 +290,24 @@ def test_cross_head_duel_lower_value_survives():
     assert mobile.head_ids == {9}
 
 
+def test_cross_head_steps_down_on_a_receipt_that_changes_only_mobility():
+    # The second hello changes no link or role, only the rival head's
+    # advertised value (5.0 -> 1.0 against our 2.0): a head with an adjacent
+    # head must still run its election step on it.
+    head = make_state(
+        9, protocol=Protocol.CROSS_CBRP, role=Role.CLUSTER_HEAD, head_ids={9},
+        own_mobility=2.0, broadcast_mobility=2.0,
+    )
+    rival_table = {9: (True, Role.CLUSTER_HEAD)}
+    hello = hello_with_table(1, rival_table, Role.CLUSTER_HEAD, 5.0)
+    outcome = on_hello_received(head, hello, 1.0, AFTER_WARMUP)
+    assert not outcome.changed and head.role is Role.CLUSTER_HEAD
+    hello = hello_with_table(1, rival_table, Role.CLUSTER_HEAD, 1.0)
+    outcome = on_hello_received(head, hello, 1.0, AFTER_WARMUP + 1.0)
+    assert outcome.changed and outcome.new_role is Role.MEMBER
+    assert head.head_ids == {1}
+
+
 def test_cross_member_with_lower_value_does_not_challenge():
     # least-cluster-change damping: a calmer member near a busier head stays put
     member = make_state(
@@ -485,6 +503,8 @@ def test_caches_match_their_sources(protocol, steps):
         assert all(state.adjacent_members[nid] is e for nid, e in members.items())
         if state.role is Role.MEMBER:
             assert state.head_ids == state.adjacent_heads
+        # What a step whose inputs did not change may skip.
+        assert_election_settled(state, now)
         # The kept hello table: rebuilt after a link, role or entry changed,
         # reused otherwise.  table_snapshot leaves broadcast_mobility alone.
         fresh = {

@@ -15,7 +15,7 @@ from cbrsim.errors import InvariantError
 from cbrsim.metrics import FATE_NO_ROUTE, FATE_QUEUE
 from cbrsim.mobility import WaypointLeg
 from cbrsim.traffic import DataPacket
-from conftest import make_cfg, static_cfg
+from conftest import assert_election_settled, make_cfg, static_cfg
 
 
 def test_identical_seeds_replay_bit_for_bit():
@@ -307,6 +307,37 @@ def test_fan_out_calls_positions_gains_and_receipts_by_module_name(monkeypatch):
     receptions = (n - 1) * report.hello_sent  # every hello reaches the other four
     assert calls["channel_gain"] == calls["on_hello_received"] == receptions
     assert calls["position_at"] == n * report.hello_sent
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_every_election_step_leaves_a_settled_state_over_a_desk_run(monkeypatch, protocol):
+    # An election step is skipped when its inputs did not change.  Catches a
+    # skip that leaves work undone: after every receipt and expiry scan of a
+    # mobile desk run, a second step must change nothing.
+    checks = Counter()
+
+    def settled(name, fn):
+        def wrapper(state, *args):
+            outcome = fn(state, *args)
+            assert_election_settled(state, args[-1])
+            checks[name] += 1
+            return outcome
+
+        return wrapper
+
+    for name in ("on_hello_received", "expire_neighbors"):
+        monkeypatch.setattr(
+            cbrsim.clustering, name, settled(name, getattr(cbrsim.clustering, name))
+        )
+    cfg = make_cfg(
+        protocol=protocol, node_count=25, area_width=500.0, area_height=500.0,
+        max_speed=20.0, sim_duration=30.0, hello_interval=1.0, neighbor_timeout=3.0,
+        formation_grace=10.0, flow_count=10, packet_rate=4.0, rng_seed=0,
+    )
+    report = Simulation(cfg).run()
+    assert report.ch_changes > 0  # clusters formed and moved
+    assert checks["expire_neighbors"] == 25 * 60
+    assert checks["on_hello_received"] > 5_000
 
 
 def test_hello_reaches_a_node_exactly_at_range():

@@ -10,9 +10,11 @@ neither side sees the working copy.  Pair ``i`` runs
 base first in odd pairs and the change first in even ones, so a slow spell of
 the host falls on both sides.  The script prints every pair, then per
 end-to-end metric each side's median and quartiles and in how many pairs the
-change did better (all four metrics are lower-is-better).  It exits 1 when a
-run fails or reports ``correct: false``.  Uncommitted work can be measured
-with ``--change $(git stash create)``.  Stdlib only.
+change did better (all four metrics are lower-is-better), and whether the
+change meets the claim rule: at least 9/10 wins and a median drop larger than
+the base's interquartile range.  It exits 1 when a run fails or reports
+``correct: false``.  Uncommitted work can be measured with
+``--change $(git stash create)``.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -60,15 +62,19 @@ def run_once(tree: Path, workload: str, seed: int, held_out: bool) -> dict:
 
 
 def summarize(base: list[float], change: list[float]) -> dict:
-    """Each side's median and inclusive quartiles, and the pairs in which the
-    change read strictly lower (a tie is no win)."""
+    """Each side's median and inclusive quartiles, the pairs in which the
+    change read strictly lower (a tie is no win), and whether that is a gain
+    that may be claimed: at least nine wins in ten pairs, and a drop in the
+    median larger than the base's interquartile range."""
     # Inclusive quartiles interpolate between sorted runs: 3.25 and 7.75 for 1..10.
     bq1, bmed, bq3 = statistics.quantiles(base, n=4, method="inclusive")
     cq1, cmed, cq3 = statistics.quantiles(change, n=4, method="inclusive")
+    wins = sum(c < b for b, c in zip(base, change))
     return {
         "base": (bq1, bmed, bq3),
         "change": (cq1, cmed, cq3),
-        "wins": sum(c < b for b, c in zip(base, change)),
+        "wins": wins,
+        "claim_met": 10 * wins >= 9 * len(base) and bmed - cmed > bq3 - bq1,
     }
 
 
@@ -119,6 +125,7 @@ def main(argv: list[str] | None = None) -> int:
             f"  change {cmed:.3f} [{cq1:.3f}, {cq3:.3f}]"
             f"  {100.0 * (cmed - bmed) / bmed:+.1f}%"
             f"  change won {stats['wins']}/{args.pairs}  base IQR {bq3 - bq1:.3f}"
+            f"  claim met {stats['claim_met']}"
         )
     print(f"all runs correct with 0 failed: {ok}")
     return 0 if ok else 1
