@@ -44,8 +44,9 @@ per relayed route request, its neighbors that have a bidirectional link and
 the head role (``NodeClusterState.adjacent_heads``, a set of ids) or the member
 role (``adjacent_members``, their table entries by id; a dict takes about half
 the memory of a set of twenty ids).  ``set_link_role`` is the only writer of an
-entry's link and role, and the only code that adds to either; ``on_hello_received``
-calls it, and ``expire_neighbors`` discards the ids it removes.
+entry's ``bidirectional`` flag and role, and the only code that adds to either;
+``on_hello_received`` calls it, and ``expire_neighbors`` discards the ids it
+removes.
 """
 
 from __future__ import annotations
@@ -66,17 +67,8 @@ class Role(Enum):
     MEMBER = "member"
 
 
-class LinkDirection(Enum):
-    """How a neighbor-table entry sees the link to that neighbor."""
-
-    UNI_FROM_NEIGHBOR = "uni"   # we hear them; they have not yet listed us
-    BIDIRECTIONAL = "bidir"
-
-
 # Module-level aliases: the hot scans compare against these by identity, and
 # an enum class attribute lookup costs ten times a global read.
-BIDIRECTIONAL = LinkDirection.BIDIRECTIONAL
-UNI_FROM_NEIGHBOR = LinkDirection.UNI_FROM_NEIGHBOR
 CLUSTER_HEAD = Role.CLUSTER_HEAD
 MEMBER = Role.MEMBER
 UNDECIDED = Role.UNDECIDED
@@ -134,7 +126,8 @@ class HelloMessage:
 @dataclass(slots=True)
 class NeighborEntry:
     neighbor_id: int
-    link: LinkDirection
+    # True once the neighbor's hello lists us; until then we only hear it.
+    bidirectional: bool
     role: Role
     advertised_mobility: float | None
     prev_rx_power: float | None
@@ -143,12 +136,7 @@ class NeighborEntry:
     expires_at: float
     # Neighbor's own table from its last hello, shared with the hello.
     advertised_neighbors: NeighborTable
-    # advertised_head_ids(advertised_neighbors); derived when not supplied.
-    advertised_heads: frozenset[int] | None = None
-
-    def __post_init__(self) -> None:
-        if self.advertised_heads is None:
-            self.advertised_heads = advertised_head_ids(self.advertised_neighbors)
+    advertised_heads: frozenset[int]  # advertised_head_ids(advertised_neighbors)
 
 
 @dataclass(slots=True)
@@ -254,7 +242,7 @@ def table_snapshot(state: NodeClusterState) -> tuple[NeighborTable, frozenset[in
     snapshot = state._snapshot
     if snapshot is None:
         table = MappingProxyType(
-            {nid: (e.link is BIDIRECTIONAL, e.role) for nid, e in sorted(state.neighbors.items())}
+            {nid: (e.bidirectional, e.role) for nid, e in sorted(state.neighbors.items())}
         )
         snapshot = state._snapshot = (table, advertised_head_ids(table))
     return snapshot
@@ -282,14 +270,14 @@ def on_hello_received(
     and run the election step.  Returns the resulting role transition."""
     sid = hello.sender_id
     advertised = hello.neighbor_table
-    link = BIDIRECTIONAL if state.node_id in advertised else UNI_FROM_NEIGHBOR
+    bidir = state.node_id in advertised
     role = hello.sender_role
     entry = state.neighbors.get(sid)
     touched = entry is None
     if touched:
         entry = state.neighbors[sid] = NeighborEntry(
             neighbor_id=sid,
-            link=link,
+            bidirectional=bidir,
             role=role,
             advertised_mobility=hello.sender_mobility,
             prev_rx_power=None,
@@ -307,9 +295,9 @@ def on_hello_received(
         entry.expires_at = now + state.neighbor_timeout
         entry.advertised_neighbors = advertised
         entry.advertised_heads = hello.advertised_heads
-        touched = entry.link is not link or entry.role is not role
+        touched = entry.bidirectional != bidir or entry.role is not role
     if touched:
-        set_link_role(state, entry, link, role)
+        set_link_role(state, entry, bidir, role)
     state._mobility = None
     return _election_step(state, now, touched)
 
@@ -345,22 +333,22 @@ def _election_step(state: NodeClusterState, now: float, touched: bool) -> Electi
 
 
 def set_link_role(
-    state: NodeClusterState, entry: NeighborEntry, link: LinkDirection, role: Role
+    state: NodeClusterState, entry: NeighborEntry, bidir: bool, role: Role
 ) -> None:
     """Set a table entry's link and role, keeping ``state.adjacent_heads`` and
     ``state.adjacent_members`` in step and dropping the kept table snapshot:
     the only code that writes either field of an entry in the table.  A hello
     receipt calls it only for a new entry or a changed link or role."""
-    entry.link = link
+    entry.bidirectional = bidir
     entry.role = role
     state._snapshot = None
     nid = entry.neighbor_id
     heads, members = state.adjacent_heads, state.adjacent_members
-    if link is BIDIRECTIONAL and role is MEMBER:
+    if bidir and role is MEMBER:
         members[nid] = entry
     else:
         members.pop(nid, None)
-    if link is BIDIRECTIONAL and role is CLUSTER_HEAD:
+    if bidir and role is CLUSTER_HEAD:
         heads.add(nid)
     else:
         heads.discard(nid)
@@ -392,7 +380,7 @@ def _competitors(state: NodeClusterState, now: float):
     return [
         e
         for e in state.neighbors.values()
-        if e.link is BIDIRECTIONAL and not (relax and e.role is MEMBER)
+        if e.bidirectional and not (relax and e.role is MEMBER)
     ]
 
 
@@ -466,7 +454,7 @@ def check_invariants(state: NodeClusterState) -> None:
             raise InvariantError(f"node {state.node_id}: member with no head")
         for hid in state.head_ids:
             e = state.neighbors.get(hid)
-            if e is None or e.link is not BIDIRECTIONAL or e.role is not CLUSTER_HEAD:
+            if e is None or not e.bidirectional or e.role is not CLUSTER_HEAD:
                 raise InvariantError(
                     f"node {state.node_id}: head {hid} is not a bidirectional "
                     "cluster-head neighbor"

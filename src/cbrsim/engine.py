@@ -61,7 +61,7 @@ from .metrics import (
     finalize,
 )
 from .mobility import WaypointLeg, next_leg, position_at
-from .radio import ChannelModel, channel_gain
+from .radio import REFERENCE_DISTANCE, ChannelModel, channel_gain
 from .routing import RouteReplyPacket, RouteRequestPacket, RouterState
 from .traffic import DataPacket, Flow, generate_flows
 
@@ -124,9 +124,6 @@ class InterfaceQueue:
         self.capacity = capacity
         self.transmitting = None
 
-    def __len__(self) -> int:
-        return len(self._control) + len(self._data)
-
     @property
     def slots(self) -> tuple:
         """Queued packets in transmission order: control, then data."""
@@ -167,7 +164,8 @@ class Simulation:
     """One simulation run: engine state, protocol state, and the ledger.
 
     Strictly single-threaded; parallelism belongs across independent
-    runs with distinct seeds.
+    runs with distinct seeds.  A traced run also samples every node's
+    position and role every half hello interval.
     """
 
     def __init__(
@@ -177,7 +175,6 @@ class Simulation:
         placement: list[tuple[float, float]] | None = None,
         flows: list[Flow] | None = None,
         trace: bool = False,
-        sample_period: float | None = None,
     ):
         self.cfg = cfg
         self.now = 0.0
@@ -226,9 +223,6 @@ class Simulation:
         self.route_event_trace: list[tuple[float, str, int, int]] = []
         self.mobility_trace: list[tuple[float, int, float, float]] = []
         self.cluster_trace: list[tuple[float, int, str, str, float]] = []
-        self._sample_period = sample_period
-        if trace and self._sample_period is None:
-            self._sample_period = cfg.hello_interval / 2.0
         self._schedule_initial_events()
 
     # -- scheduling ---------------------------------------------------------
@@ -258,7 +252,7 @@ class Simulation:
         for idx, flow in enumerate(self.flows):
             if flow.start_time < stop:
                 self.schedule(flow.start_time, _TRAFFIC_EMIT, (idx, 0))
-        if self._sample_period:
+        if self.trace_enabled:
             self.schedule(0.0, EventKind.TRACE_SAMPLE, ())
 
     # -- geometry -----------------------------------------------------------
@@ -370,7 +364,7 @@ class Simulation:
                     self.route_event_trace.append(
                         (self.now, "route_break", packet.flow_id, len(packet.route or ()))
                     )
-        if queue._control or queue._data:  # not len(queue): a Python-level call
+        if queue._control or queue._data:
             self._start_transmission(node)
         if self.trace_enabled:
             self.event_trace.append(
@@ -455,7 +449,7 @@ class Simulation:
         # reference distance; the model saturates there.
         channel, rng = self.channel, self._fading_rng
         tx_power = self.cfg.tx_power
-        d0 = channel.reference_distance
+        d0 = REFERENCE_DISTANCE
         for recipient_id, distance in receivers:
             node = nodes[recipient_id]
             if trace is not None:
@@ -620,7 +614,7 @@ class Simulation:
                     node.cluster.own_mobility,
                 )
             )
-        next_time = self.now + self._sample_period
+        next_time = self.now + self.cfg.hello_interval / 2.0
         if next_time <= self.cfg.sim_duration:
             self.schedule(next_time, EventKind.TRACE_SAMPLE, ())
 

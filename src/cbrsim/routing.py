@@ -20,7 +20,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .clustering import BIDIRECTIONAL, CLUSTER_HEAD, MEMBER, NodeClusterState
+from .clustering import CLUSTER_HEAD, MEMBER, NodeClusterState
 from .errors import InvariantError
 from .traffic import DataPacket
 
@@ -95,7 +95,7 @@ def _completed_route(
     if cluster.node_id == target:
         return route
     entry = cluster.neighbors.get(target)
-    if entry is not None and entry.link is BIDIRECTIONAL:
+    if entry is not None and entry.bidirectional:
         return route + (target,)
     return None
 
@@ -174,7 +174,7 @@ def originate_rreq(
     """
     node_id = cluster.node_id
     entry = cluster.neighbors.get(target)
-    if entry is not None and entry.link is BIDIRECTIONAL:
+    if entry is not None and entry.bidirectional:
         route = (node_id, target)
         router.cache[target] = route
         return OriginateResult(installed=route, packets=[])

@@ -10,10 +10,10 @@ import pytest
 
 import cbrsim
 from cbrsim.clustering import (
-    LinkDirection,
     NeighborEntry,
     NodeClusterState,
     Role,
+    advertised_head_ids,
     check_invariants,
     run_election,
     set_link_role,
@@ -93,19 +93,21 @@ def add_neighbor(
     expires_at: float = 1e9,
     advertised_neighbors: dict | None = None,
 ) -> NeighborEntry:
+    advertised_neighbors = advertised_neighbors or {}
     entry = NeighborEntry(
         neighbor_id=neighbor_id,
-        link=LinkDirection.BIDIRECTIONAL if bidirectional else LinkDirection.UNI_FROM_NEIGHBOR,
+        bidirectional=bidirectional,
         role=role,
         advertised_mobility=advertised_mobility,
         prev_rx_power=1.0 if rel_mobility is not None else None,
         last_rx_power=1.0,
         rel_mobility=rel_mobility,
         expires_at=expires_at,
-        advertised_neighbors=advertised_neighbors or {},
+        advertised_neighbors=advertised_neighbors,
+        advertised_heads=advertised_head_ids(advertised_neighbors),
     )
     state.neighbors[neighbor_id] = entry
-    set_link_role(state, entry, entry.link, entry.role)
+    set_link_role(state, entry, entry.bidirectional, entry.role)
     return entry
 
 
@@ -113,7 +115,7 @@ def set_neighbor_role(state: NodeClusterState, neighbor_id: int, role: Role) -> 
     """Change the role a table entry records, through the same path a hello
     receipt takes, so the state's adjacent-head set follows."""
     entry = state.neighbors[neighbor_id]
-    set_link_role(state, entry, entry.link, role)
+    set_link_role(state, entry, entry.bidirectional, role)
 
 
 def assert_election_settled(state: NodeClusterState, now: float) -> None:

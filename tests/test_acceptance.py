@@ -9,7 +9,6 @@ import subprocess
 import sys
 import time
 
-import numpy as np
 import pytest
 
 from cbrsim.clustering import aggregate_mobility, relative_mobility

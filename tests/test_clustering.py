@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbrsim.clustering import (
-    LinkDirection,
     Role,
     advertised_head_ids,
     aggregate_mobility,
@@ -115,7 +114,7 @@ def test_first_hello_creates_entry_without_rel_sample():
     assert entry.prev_rx_power is None
     assert entry.last_rx_power == 0.5
     assert entry.rel_mobility is None
-    assert entry.link is LinkDirection.UNI_FROM_NEIGHBOR
+    assert entry.bidirectional is False
     assert outcome.old_role is Role.UNDECIDED
 
 
@@ -135,7 +134,7 @@ def test_hello_listing_us_makes_link_bidirectional():
     sender = make_state(2)
     add_neighbor(sender, 1)  # sender heard us already
     on_hello_received(receiver, hello_from(sender), 1.0, now=0.0)
-    assert receiver.neighbors[2].link is LinkDirection.BIDIRECTIONAL
+    assert receiver.neighbors[2].bidirectional is True
 
 
 def test_hello_sizes_differ_only_by_metric_field():
@@ -493,11 +492,11 @@ def test_caches_match_their_sources(protocol, steps):
             assert e.advertised_heads == heads == advertised_head_ids(e.advertised_neighbors)
         assert state.adjacent_heads == {
             nid for nid, e in state.neighbors.items()
-            if e.link is LinkDirection.BIDIRECTIONAL and e.role is Role.CLUSTER_HEAD
+            if e.bidirectional and e.role is Role.CLUSTER_HEAD
         }
         members = {
             nid: e for nid, e in state.neighbors.items()
-            if e.link is LinkDirection.BIDIRECTIONAL and e.role is Role.MEMBER
+            if e.bidirectional and e.role is Role.MEMBER
         }
         assert state.adjacent_members.keys() == members.keys()
         assert all(state.adjacent_members[nid] is e for nid, e in members.items())
@@ -508,7 +507,7 @@ def test_caches_match_their_sources(protocol, steps):
         # The kept hello table: rebuilt after a link, role or entry changed,
         # reused otherwise.  table_snapshot leaves broadcast_mobility alone.
         fresh = {
-            nid: (e.link is LinkDirection.BIDIRECTIONAL, e.role)
+            nid: (e.bidirectional, e.role)
             for nid, e in sorted(state.neighbors.items())
         }
         table, heads = snapshot = table_snapshot(state)
@@ -536,8 +535,8 @@ def test_hello_table_is_shared_by_every_receiver():
         entry = r.neighbors[2]
         assert entry.advertised_neighbors is hello.neighbor_table
         assert entry.advertised_heads is hello.advertised_heads == {1}
-    assert receivers[0].neighbors[2].link is LinkDirection.BIDIRECTIONAL  # node 1 is listed
-    assert receivers[1].neighbors[2].link is LinkDirection.UNI_FROM_NEIGHBOR
+    assert receivers[0].neighbors[2].bidirectional is True  # node 1 is listed
+    assert receivers[1].neighbors[2].bidirectional is False
 
 
 def test_mobility_is_summed_on_read_and_assignable():

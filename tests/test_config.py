@@ -1,6 +1,6 @@
 import random
+import statistics
 
-import numpy as np
 import pytest
 
 from cbrsim.config import (
@@ -161,7 +161,7 @@ def test_placement_mean_converges_to_area_center():
     for seed in range(1000):
         pts = generate_initial_placement(cfg, random.Random(seed))
         xs.extend(p[0] for p in pts)
-    assert abs(np.mean(xs) - 500.0) < 30.0
+    assert abs(statistics.fmean(xs) - 500.0) < 30.0
 
 
 FLOAT_FIELDS = [

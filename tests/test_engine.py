@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cbrsim.clustering
 import cbrsim.engine
-from cbrsim.clustering import LinkDirection, build_hello
+from cbrsim.clustering import build_hello
 from cbrsim.config import Protocol, ScenarioConfig
 from cbrsim.engine import EventKind, Simulation
 from cbrsim.errors import InvariantError
@@ -199,7 +199,7 @@ def test_every_member_heads_are_bidirectional_head_neighbors():
         if state.role.value == "member":
             for hid in state.head_ids:
                 entry = state.neighbors[hid]
-                assert entry.link is LinkDirection.BIDIRECTIONAL
+                assert entry.bidirectional is True
                 assert entry.role.value == "head"
 
 
@@ -217,8 +217,9 @@ def test_run_is_single_shot():
 
 
 def test_trace_collects_samples():
-    cfg = make_cfg(sim_duration=10.0)
-    sim = Simulation(cfg, trace=True, sample_period=2.0)
+    # Traced runs sample every half hello interval.
+    cfg = make_cfg(sim_duration=10.0, hello_interval=4.0)
+    sim = Simulation(cfg, trace=True)
     sim.run()
     times = sorted({row[0] for row in sim.mobility_trace})
     assert times == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
@@ -234,7 +235,7 @@ def test_static_durable_links_never_expire():
     for node in sim.nodes:
         assert len(node.cluster.neighbors) == cfg.node_count - 1
         assert all(
-            e.link is LinkDirection.BIDIRECTIONAL for e in node.cluster.neighbors.values()
+            e.bidirectional is True for e in node.cluster.neighbors.values()
         )
 
 

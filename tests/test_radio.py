@@ -2,21 +2,23 @@ import random
 
 import pytest
 
-from cbrsim.radio import ChannelModel, channel_gain, received_power
+from cbrsim.radio import REFERENCE_DISTANCE, ChannelModel, channel_gain, received_power
 
 
 def test_gain_at_reference_distance():
-    model = ChannelModel(reference_gain=0.7)
-    assert channel_gain(model, 1.0) == 0.7
+    # Unit gain at the 1 m reference distance, whatever the exponent.
+    assert REFERENCE_DISTANCE == 1.0
+    for n in (2.0, 4.0):
+        assert channel_gain(ChannelModel(path_loss_exponent=n), 1.0) == 1.0
 
 
 def test_inverse_square_at_twice_reference():
-    model = ChannelModel(path_loss_exponent=2.0, reference_gain=1.0)
+    model = ChannelModel(path_loss_exponent=2.0)
     assert channel_gain(model, 2.0) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_fourth_power_at_ten_reference():
-    model = ChannelModel(path_loss_exponent=4.0, reference_gain=1.0)
+    model = ChannelModel(path_loss_exponent=4.0)
     assert channel_gain(model, 10.0) == pytest.approx(1e-4, rel=1e-12)
 
 
@@ -62,10 +64,6 @@ def test_nonpositive_power_rejected():
 def test_model_validation():
     with pytest.raises(ValueError):
         ChannelModel(path_loss_exponent=1.0)
-    with pytest.raises(ValueError):
-        ChannelModel(reference_distance=0.0)
-    with pytest.raises(ValueError):
-        ChannelModel(reference_gain=1.5)
 
 
 def test_fading_unit_mean_and_seeded():

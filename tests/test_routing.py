@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbrsim.clustering import LinkDirection, Role, set_link_role
+from cbrsim.clustering import Role, set_link_role
 from cbrsim.config import Protocol
 from cbrsim.engine import Simulation
 from cbrsim.errors import InvariantError
@@ -234,7 +234,7 @@ def test_recorded_route_never_repeats_ids():
 def scanned_heads(state):
     return {
         nid for nid, e in state.neighbors.items()
-        if e.link is LinkDirection.BIDIRECTIONAL and e.role is Role.CLUSTER_HEAD
+        if e.bidirectional and e.role is Role.CLUSTER_HEAD
     }
 
 
@@ -247,7 +247,7 @@ def scanned_forward_targets(cluster, route):
         members = {
             nid: e
             for nid, e in cluster.neighbors.items()
-            if e.link is LinkDirection.BIDIRECTIONAL and e.role is Role.MEMBER
+            if e.bidirectional and e.role is Role.MEMBER
         }
         cluster_ids = {node_id} | members.keys()
         direct = scanned_heads(cluster) - exclude
@@ -267,7 +267,7 @@ def scanned_forward_targets(cluster, route):
     if cluster.role is Role.MEMBER:
         out = set()
         for nid, e in cluster.neighbors.items():
-            if e.link is not LinkDirection.BIDIRECTIONAL or nid in exclude:
+            if not e.bidirectional or nid in exclude:
                 continue
             if e.role is Role.CLUSTER_HEAD:
                 out.add(nid)
@@ -314,8 +314,7 @@ def relay_states(draw, size=12):
     changes = st.tuples(st.integers(1, size - 1), st.booleans(), st.sampled_from(list(Role)))
     for nid, bidir, nrole in draw(st.lists(changes)):
         if nid in state.neighbors:
-            link = LinkDirection.BIDIRECTIONAL if bidir else LinkDirection.UNI_FROM_NEIGHBOR
-            set_link_role(state, state.neighbors[nid], link, nrole)
+            set_link_role(state, state.neighbors[nid], bidir, nrole)
     state.head_ids = {0} if role is Role.CLUSTER_HEAD else scanned_heads(state)
     return state
 
