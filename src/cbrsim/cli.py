@@ -95,13 +95,6 @@ class SweepResult:
     summary: dict  # (axis value, protocol value) -> {metric: MetricStats}
     out_dir: Path
 
-    def cell_reports(self, value, protocol_value: str) -> list[RunReport]:
-        return [
-            r
-            for (v, p, _), r in sorted(self.reports.items())
-            if v == value and p == protocol_value
-        ]
-
 
 def _axis_value_of(report: RunReport, axis: SweepAxis):
     name = _AXIS_FIELDS.get(axis)
@@ -163,10 +156,11 @@ def run_sweep(
             reports[(value, protocol.value, seed)] = report
             writer.writerow(report_to_row(report))
             fh.flush()
-    summary = summarize_runs(read_runs_csv(runs_path), plan.axis)
+    cells = group_cells(read_runs_csv(runs_path), plan.axis)
+    summary = summarize_runs(cells)
     result = SweepResult(plan=plan, reports=reports, summary=summary, out_dir=out)
     write_summary_csv(out / "summary.csv", summary, plan.axis)
-    (out / "report.txt").write_text(format_report(result), encoding="utf-8")
+    (out / "report.txt").write_text(format_report(result, cells), encoding="utf-8")
     return result
 
 
@@ -179,20 +173,22 @@ def read_runs_csv(path: str | Path) -> list[RunReport]:
         return [report_from_row(row) for row in reader]
 
 
-def summarize_runs(reports: list[RunReport], axis: SweepAxis) -> dict:
-    """Group reports into (axis value, protocol) cells and aggregate each.
+def group_cells(reports: list[RunReport], axis: SweepAxis) -> dict[tuple, list[RunReport]]:
+    """Group reports into (axis value, protocol) cells, in sorted cell order.
 
-    Works from parsed runs.csv rows alone, which is the reproducibility
-    contract for summary.csv.
+    ``run_sweep`` groups parsed runs.csv rows alone, which is the
+    reproducibility contract for summary.csv.
     """
     cells: dict[tuple, list[RunReport]] = {}
     for report in reports:
         key = (_axis_value_of(report, axis), report.protocol)
         cells.setdefault(key, []).append(report)
-    return {
-        key: aggregate(group)
-        for key, group in sorted(cells.items(), key=lambda kv: (kv[0][0] is None, kv[0]))
-    }
+    return dict(sorted(cells.items(), key=lambda kv: (kv[0][0] is None, kv[0])))
+
+
+def summarize_runs(cells: dict[tuple, list[RunReport]]) -> dict:
+    """Aggregate each cell of ``group_cells``."""
+    return {key: aggregate(group) for key, group in cells.items()}
 
 
 def write_summary_csv(path: Path, summary: dict, axis: SweepAxis) -> None:
@@ -212,7 +208,7 @@ def write_summary_csv(path: Path, summary: dict, axis: SweepAxis) -> None:
             writer.writerow(row)
 
 
-def format_report(result: SweepResult) -> str:
+def format_report(result: SweepResult, cells: dict[tuple, list[RunReport]]) -> str:
     plan = result.plan
     summary = result.summary
     lines = ["simulation sweep report", "=" * 40, ""]
@@ -233,13 +229,13 @@ def format_report(result: SweepResult) -> str:
         f"{'axis':>8} {'protocol':>12}" + "".join(f" {m:>24}" for m in SUMMARY_METRICS)
     )
     for (value, protocol), stats in summary.items():
-        cells = []
+        columns = []
         for metric in SUMMARY_METRICS:
             s = stats[metric]
             std = "n/a" if s.stddev is None else f"{s.stddev:.3g}"
-            cells.append(f"{s.mean:.6g} ({std})".rjust(24))
+            columns.append(f"{s.mean:.6g} ({std})".rjust(24))
         axis_text = "-" if value is None else f"{value:g}"
-        lines.append(f"{axis_text:>8} {protocol:>12}" + "".join(f" {c}" for c in cells))
+        lines.append(f"{axis_text:>8} {protocol:>12}" + "".join(f" {c}" for c in columns))
     lines.append("")
     protocols_present = {p for _, p in summary.keys()}
     if {Protocol.CBRP.value, Protocol.CROSS_CBRP.value} <= protocols_present:
@@ -247,14 +243,9 @@ def format_report(result: SweepResult) -> str:
         lines.append(
             f"{'axis':>8} {'metric':>16} {'baseline':>14} {'variant':>14} {'improvement':>12}"
         )
-        axis_values = []
-        for value, _ in summary.keys():
-            if value not in axis_values:
-                axis_values.append(value)
-        for value in axis_values:
-            base_reports = result.cell_reports(value, Protocol.CBRP.value)
-            var_reports = result.cell_reports(value, Protocol.CROSS_CBRP.value)
-            if not base_reports or not var_reports:
+        for (value, protocol), base_reports in cells.items():
+            var_reports = cells.get((value, Protocol.CROSS_CBRP.value))
+            if protocol != Protocol.CBRP.value or var_reports is None:
                 continue
             for comparison in paired_comparison(base_reports, var_reports):
                 axis_text = "-" if value is None else f"{value:g}"

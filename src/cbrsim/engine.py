@@ -22,7 +22,8 @@ that order.  One event per receiver would run the same way: those events
 would carry consecutive sequence numbers at one instant, so no other event
 could run between them, and whatever they schedule comes after the last of
 them.  Reception power, with its fading draw, is evaluated at delivery, in
-receiver order.
+receiver order.  Every position read goes through ``mobility.position_at``,
+which checks that the node's current leg covers the instant.
 
 Most events are deliveries scheduled for the instant they are sent, so those
 skip the heap.  ``schedule`` still draws a sequence number for every event, but
@@ -51,9 +52,7 @@ from .clustering import HelloMessage, NodeClusterState
 from .config import ScenarioConfig, generate_initial_placement
 from .errors import InvariantError
 from .metrics import (
-    FATE_DELIVERED,
     FATE_FORWARD_FAIL,
-    FATE_IN_FLIGHT,
     FATE_NO_ROUTE,
     FATE_QUEUE,
     MetricsLedger,
@@ -255,16 +254,6 @@ class Simulation:
         if self.trace_enabled:
             self.schedule(0.0, EventKind.TRACE_SAMPLE, ())
 
-    # -- geometry -----------------------------------------------------------
-
-    def position_of(self, node: Node, t: float) -> tuple[float, float]:
-        leg = node.leg
-        if t > leg.pause_until:
-            raise InvariantError(
-                f"position query at t={t} beyond node {node.node_id}'s leg"
-            )
-        return position_at(leg, t)
-
     # -- run loop -----------------------------------------------------------
 
     def run(self) -> RunReport:
@@ -293,9 +282,7 @@ class Simulation:
         return finalize(self.ledger, self.cfg)
 
     def _sweep_unfinished(self) -> None:
-        for pkt in self._in_flight.values():
-            pkt.fate = FATE_IN_FLIGHT
-            self.ledger.in_flight_at_horizon += 1
+        self.ledger.in_flight_at_horizon += len(self._in_flight)
         self._in_flight.clear()
 
     # -- transmission path --------------------------------------------------
@@ -332,16 +319,9 @@ class Simulation:
             if receivers:
                 self.schedule(now, _PACKET_DELIVERY, (receivers, packet, node_id))
         else:
-            # Both legs checked as position_of does, the sender first.
-            leg = node.leg
-            if now > leg.pause_until:
-                raise InvariantError(f"position query at t={now} beyond node {node_id}'s leg")
-            x, y = position_at(leg, now)
+            x, y = position_at(node.leg, now)
             next_hop = packet.next_hop
-            leg = self.nodes[next_hop].leg
-            if now > leg.pause_until:
-                raise InvariantError(f"position query at t={now} beyond node {next_hop}'s leg")
-            ox, oy = position_at(leg, now)
+            ox, oy = position_at(self.nodes[next_hop].leg, now)
             dx = ox - x
             dy = oy - y
             reachable = dx * dx + dy * dy <= range_sq
@@ -374,24 +354,16 @@ class Simulation:
     def _hello_receivers(self, sender_id: int, range_sq: float) -> list[tuple[int, float]]:
         """(node id, distance) of every node a hello from ``sender_id`` reaches
         now, in id order; each node's position, the sender's first, is read
-        once, with the leg check of ``position_of``."""
+        once."""
         now = self.now
         sender = self.nodes[sender_id]
-        leg = sender.leg
-        if now > leg.pause_until:
-            raise InvariantError(f"position query at t={now} beyond node {sender_id}'s leg")
-        sx, sy = position_at(leg, now)
+        sx, sy = position_at(sender.leg, now)
         hypot = math.hypot
         receivers = []
         for other in self.nodes:
             if other is sender:
                 continue
-            leg = other.leg
-            if now > leg.pause_until:
-                raise InvariantError(
-                    f"position query at t={now} beyond node {other.node_id}'s leg"
-                )
-            x, y = position_at(leg, now)
+            x, y = position_at(other.leg, now)
             dx = x - sx
             dy = y - sy
             if dx * dx + dy * dy <= range_sq:
@@ -417,20 +389,18 @@ class Simulation:
             for copy in result.forwards:
                 self._enqueue_packet(node, copy)
         elif isinstance(packet, RouteReplyPacket):
-            kind, obj = routing.process_rrep(node.router, node.cluster, packet)
-            if kind == "forward":
-                self._enqueue_packet(node, obj)
+            reply = routing.process_rrep(node.router, node.cluster, packet)
+            if reply is not None:
+                self._enqueue_packet(node, reply)
             else:
-                destination = obj
-                route = node.router.cache[destination]
-                self.route_log.append((self.now, node.node_id, destination, route))
+                route = packet.route
                 if self.trace_enabled:
-                    self.route_event_trace.append((self.now, "rrep_recv", destination, len(route)))
-                self._flush_pending(node, destination)
+                    self.route_event_trace.append((self.now, "rrep_recv", route[-1], len(route)))
+                self._route_installed(node, route[-1], route)
         else:
-            action, successor = routing.forward_data(node.cluster, packet)
-            if action == "deliver":
-                self._set_fate(packet, FATE_DELIVERED)
+            successor = routing.forward_data(node.cluster, packet)
+            if successor is None:
+                self._classify(packet)
                 self.ledger.record_delivery(self.now - packet.created_at, packet.size_bytes)
                 if self.trace_enabled:
                     self.route_event_trace.append(
@@ -518,8 +488,8 @@ class Simulation:
         cached = node.router.cache.get(packet.dst)
         if cached is not None:
             packet.route = cached
-            action, successor = routing.forward_data(node.cluster, packet)
-            if action == "deliver":
+            successor = routing.forward_data(node.cluster, packet)
+            if successor is None:
                 raise InvariantError("flow source equals destination")
             packet.next_hop = successor
             self._enqueue_packet(node, packet)
@@ -535,9 +505,7 @@ class Simulation:
     def _originate(self, node: Node, destination: int) -> None:
         result = routing.originate_rreq(node.router, node.cluster, destination)
         if result.installed is not None:
-            node.router.discoveries.pop(destination, None)
-            self.route_log.append((self.now, node.node_id, destination, result.installed))
-            self._flush_pending(node, destination)
+            self._route_installed(node, destination, result.installed)
             return
         attempts = node.router.discoveries.get(destination, 0) + 1
         node.router.discoveries[destination] = attempts
@@ -555,9 +523,6 @@ class Simulation:
         node = self.nodes[node_id]
         if node.router.discoveries.get(destination) != attempt:
             return  # answered or superseded in the meantime
-        if destination in node.router.cache:
-            node.router.discoveries.pop(destination, None)
-            return
         if attempt >= 1 + self.cfg.rreq_max_retries:
             node.router.discoveries.pop(destination, None)
             pending = node.router.pending.pop(destination, None)
@@ -566,25 +531,25 @@ class Simulation:
             return
         self._originate(node, destination)
 
-    def _flush_pending(self, node: Node, destination: int) -> None:
-        pending = node.router.pending.pop(destination, None)
-        if not pending:
-            return
-        for packet in pending:
+    def _route_installed(
+        self, node: Node, destination: int, route: tuple[int, ...]
+    ) -> None:
+        """``node`` has just cached ``route``: end the discovery, log the route
+        and send the packets that waited for it."""
+        node.router.discoveries.pop(destination, None)
+        self.route_log.append((self.now, node.node_id, destination, route))
+        for packet in node.router.pending.pop(destination, ()):
             self._dispatch_data(node, packet)
 
     # -- accounting ---------------------------------------------------------
 
-    def _set_fate(self, packet: DataPacket, fate: str) -> None:
-        if packet.fate is not None:
-            raise InvariantError(
-                f"data packet classified twice: {packet.fate} then {fate}"
-            )
-        packet.fate = fate
-        del self._in_flight[id(packet)]
+    def _classify(self, packet: DataPacket) -> None:
+        # The caller holds ``packet``, so no other live packet shares its id.
+        if self._in_flight.pop(id(packet), None) is not packet:
+            raise InvariantError(f"data packet of flow {packet.flow_id} classified twice")
 
     def _drop_data(self, packet: DataPacket, fate: str) -> None:
-        self._set_fate(packet, fate)
+        self._classify(packet)
         self.ledger.record_drop(fate)
 
     # -- introspection ------------------------------------------------------
@@ -602,19 +567,13 @@ class Simulation:
         ]
 
     def _on_trace_sample(self) -> None:
+        now = self.now
         for node in self.nodes:
-            x, y = self.position_of(node, self.now)
-            self.mobility_trace.append((self.now, node.node_id, x, y))
-            self.cluster_trace.append(
-                (
-                    self.now,
-                    node.node_id,
-                    node.cluster.role.value,
-                    ";".join(str(h) for h in sorted(node.cluster.head_ids)),
-                    node.cluster.own_mobility,
-                )
-            )
-        next_time = self.now + self.cfg.hello_interval / 2.0
+            x, y = position_at(node.leg, now)
+            self.mobility_trace.append((now, node.node_id, x, y))
+        for node_id, role, heads, mobility in self.cluster_snapshot():
+            self.cluster_trace.append((now, node_id, role, ";".join(map(str, heads)), mobility))
+        next_time = now + self.cfg.hello_interval / 2.0
         if next_time <= self.cfg.sim_duration:
             self.schedule(next_time, EventKind.TRACE_SAMPLE, ())
 

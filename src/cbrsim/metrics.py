@@ -10,12 +10,11 @@ from .clustering import Role, sum_in_order
 from .config import ScenarioConfig
 from .errors import InvariantError
 
-# Data-packet fates; every emitted packet ends in exactly one of these.
-FATE_DELIVERED = "delivered"
+# Drop causes: every emitted packet is delivered, dropped for one of these, or
+# still in flight at the horizon.
 FATE_QUEUE = "drop_queue"
 FATE_NO_ROUTE = "drop_no_route"
 FATE_FORWARD_FAIL = "drop_forward_fail"
-FATE_IN_FLIGHT = "in_flight"
 
 
 @dataclass

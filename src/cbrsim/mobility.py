@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .config import ScenarioConfig
+from .errors import InvariantError
 
 Position = tuple[float, float]
 
@@ -55,10 +56,12 @@ def next_leg(
 def position_at(leg: WaypointLeg, t: float) -> Position:
     """Position on ``leg`` at time ``t`` (linear travel, then parked).
 
-    ``t`` must lie within the leg's span [depart_time, pause_until].
+    The engine's one leg check: ``t`` must lie within [depart_time,
+    pause_until], with 1e-9 s of slack.  No read falls in the slack past
+    ``pause_until``: the node's arrival event runs at exactly that time.
     """
     if t < leg.depart_time - _TIME_SLACK or t > leg.pause_until + _TIME_SLACK:
-        raise ValueError(
+        raise InvariantError(
             f"t={t} outside leg span [{leg.depart_time}, {leg.pause_until}]"
         )
     if t >= leg.arrive_time:

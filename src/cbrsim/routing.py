@@ -173,9 +173,8 @@ def originate_rreq(
     no packets (the retry policy will try again).
     """
     node_id = cluster.node_id
-    entry = cluster.neighbors.get(target)
-    if entry is not None and entry.bidirectional:
-        route = (node_id, target)
+    route = _completed_route(cluster, (node_id,), target)
+    if route is not None:
         router.cache[target] = route
         return OriginateResult(installed=route, packets=[])
     router.request_counter += 1
@@ -225,11 +224,11 @@ def process_rreq(
 
 def process_rrep(
     router: RouterState, cluster: NodeClusterState, rrep: RouteReplyPacket
-) -> tuple[str, object]:
+) -> RouteReplyPacket | None:
     """Move a route reply one hop toward the source; install at the source.
 
-    Returns ("installed", destination) at the source, else
-    ("forward", packet) for the next reverse hop.
+    Returns the reply for the next reverse hop, or None once the source has
+    cached the route.
     """
     node_id = cluster.node_id
     try:
@@ -239,23 +238,14 @@ def process_rrep(
             f"node {node_id} processed a route reply it is not on: {rrep.route}"
         ) from None
     if idx == 0:
-        destination = rrep.route[-1]
-        router.cache[destination] = rrep.route
-        router.discoveries.pop(destination, None)
-        return ("installed", destination)
-    return (
-        "forward",
-        RouteReplyPacket(rrep.route, rrep.route[idx - 1], rrep.size_bytes),
-    )
+        router.cache[rrep.route[-1]] = rrep.route
+        return None
+    return RouteReplyPacket(rrep.route, rrep.route[idx - 1], rrep.size_bytes)
 
 
-def forward_data(
-    cluster: NodeClusterState, packet: DataPacket
-) -> tuple[str, int | None]:
-    """Next action for a source-routed data packet at this node.
-
-    Returns ("deliver", None) at the destination or ("forward", successor).
-    A packet at a node that is not on its route is a routing bug.
+def forward_data(cluster: NodeClusterState, packet: DataPacket) -> int | None:
+    """Next hop of a source-routed data packet at this node, or None at its
+    destination.  A packet at a node that is not on its route is a routing bug.
     """
     node_id = cluster.node_id
     route = packet.route
@@ -268,5 +258,5 @@ def forward_data(
             f"node {node_id} holds a data packet whose route {route} skips it"
         ) from None
     if idx == len(route) - 1:
-        return ("deliver", None)
-    return ("forward", route[idx + 1])
+        return None
+    return route[idx + 1]

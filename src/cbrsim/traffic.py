@@ -21,8 +21,9 @@ class Flow:
 
 @dataclass(slots=True)
 class DataPacket:
-    """One application payload packet; ``fate`` is set exactly once when the
-    packet is delivered, dropped, or swept up at the simulation horizon."""
+    """One application payload packet.  The engine tracks it as in flight
+    until it is classified exactly once: delivered, dropped, or swept up at the
+    simulation horizon."""
 
     flow_id: int
     src: int
@@ -31,7 +32,6 @@ class DataPacket:
     created_at: float
     route: tuple[int, ...] | None = None
     next_hop: int | None = None
-    fate: str | None = None
 
     control = False
 

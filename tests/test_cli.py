@@ -11,6 +11,7 @@ from cbrsim.cli import (
     main,
     plan_from_args,
     build_parser,
+    group_cells,
     read_runs_csv,
     run_sweep,
     summarize_runs,
@@ -106,7 +107,7 @@ def test_summary_recomputable_from_runs_csv(fast_cfg_file, tmp_path):
         "--sweep", "speed=5,10", "--seeds", "2", "--out", str(out),
     ])
     rows = read_runs_csv(out / "runs.csv")
-    recomputed = summarize_runs(rows, SweepAxis.MAX_SPEED)
+    recomputed = summarize_runs(group_cells(rows, SweepAxis.MAX_SPEED))
     with open(out / "summary.csv", newline="") as fh:
         written = list(csv.reader(fh))
     body = written[1:]

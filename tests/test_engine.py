@@ -14,6 +14,7 @@ from cbrsim.engine import EventKind, Simulation
 from cbrsim.errors import InvariantError
 from cbrsim.metrics import FATE_NO_ROUTE, FATE_QUEUE
 from cbrsim.mobility import WaypointLeg
+from cbrsim.routing import RouteRequestPacket, control_size_bytes
 from cbrsim.traffic import DataPacket
 from conftest import assert_election_settled, make_cfg, static_cfg
 
@@ -257,15 +258,14 @@ def _hello_only_static_sim(**overrides) -> Simulation:
 
 
 def test_fan_out_rejects_a_node_whose_leg_has_ended():
-    # Catches a range scan that reads a position without the engine's own leg
-    # check (position_at alone raises ValueError, not InvariantError).
+    # Catches a range scan that reads a position without the leg check.
     sim = _hello_only_static_sim()
     sim.now = 2.0
     stale = sim.nodes[3]
     x, y = stale.leg.destination
     stale.leg = WaypointLeg((x, y), (x, y), 1.0, 0.0, 0.5, 1.0)
     sim.nodes[0].queue.transmitting = build_hello(sim.nodes[0].cluster)
-    with pytest.raises(InvariantError, match="beyond node 3's leg"):
+    with pytest.raises(InvariantError, match=r"t=2\.0 outside leg span \[0\.0, 1\.0\]"):
         sim._on_transmit_complete(0)
 
 
@@ -278,7 +278,24 @@ def test_fan_out_rejects_a_sender_whose_leg_has_ended():
     x, y = sender.leg.destination
     sender.leg = WaypointLeg((x, y), (x, y), 1.0, 0.0, 0.5, 1.0)
     sender.queue.transmitting = build_hello(sender.cluster)
-    with pytest.raises(InvariantError, match="beyond node 0's leg"):
+    with pytest.raises(InvariantError, match=r"t=2\.0 outside leg span \[0\.0, 1\.0\]"):
+        sim._on_transmit_complete(0)
+
+
+@pytest.mark.parametrize("stale_id", [0, 3])
+def test_unicast_rejects_a_sender_or_next_hop_whose_leg_has_ended(stale_id):
+    # A route request from node 0 to node 3 reads both positions; catches a
+    # unicast path that skips the leg check on either read.
+    sim = _hello_only_static_sim()
+    sim.now = 2.0
+    stale = sim.nodes[stale_id]
+    x, y = stale.leg.destination
+    stale.leg = WaypointLeg((x, y), (x, y), 1.0, 0.0, 0.5, 1.0)
+    sim.nodes[0].queue.transmitting = RouteRequestPacket(
+        request_id=(0, 1), origin=0, target=4, recorded_route=(0,), next_hop=3,
+        size_bytes=control_size_bytes(1),
+    )
+    with pytest.raises(InvariantError, match=r"t=2\.0 outside leg span \[0\.0, 1\.0\]"):
         sim._on_transmit_complete(0)
 
 
@@ -376,7 +393,7 @@ def test_traced_fan_out_keeps_one_receive_row_per_receiver():
 # -- bounded packet state ---------------------------------------------------
 
 def test_classified_packets_leave_the_in_flight_map():
-    # Catches a _set_fate that keeps classified packets (unbounded state) and
+    # Catches a _classify that keeps classified packets (unbounded state) and
     # one that no longer refuses a second classification.
     sim = Simulation(make_cfg())
     packet = DataPacket(flow_id=0, src=0, dst=1, size_bytes=512, created_at=0.0)

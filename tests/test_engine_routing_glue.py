@@ -62,16 +62,6 @@ def test_stale_retry_timeouts_are_ignored():
     assert node.router.discoveries[1] == 2
 
 
-def test_retry_resolved_by_cached_route_clears_discovery():
-    cfg = two_island_cfg()
-    sim = Simulation(cfg, placement=island_placement())
-    node = sim.nodes[0]
-    node.router.discoveries[1] = 1
-    node.router.cache[1] = (0, 1)
-    sim._on_route_retry(0, 1, attempt=1)
-    assert 1 not in node.router.discoveries
-
-
 def test_retry_exhaustion_drops_pending_as_no_route():
     cfg = two_island_cfg()
     flow = Flow(flow_id=0, src=0, dst=1, rate=0.5, packet_size=512, start_time=5.0)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbrsim.errors import InvariantError
 from cbrsim.mobility import next_leg, position_at
 from conftest import make_cfg, static_cfg
 
@@ -62,9 +63,9 @@ def test_position_at_midpoint_hand_value():
 def test_position_outside_span_raises():
     cfg = make_cfg()
     leg = next_leg((0.0, 0.0), 10.0, cfg, random.Random(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         position_at(leg, 9.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvariantError):
         position_at(leg, leg.pause_until + 1.0)
 
 

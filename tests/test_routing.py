@@ -337,12 +337,11 @@ def test_reply_forwarded_hop_by_hop_then_installed():
     mid = member_state(1, 9)
     router_mid = RouterState(node_id=1)
     reply = process_rreq(RouterState(node_id=5), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1))).reply
-    kind, pkt = process_rrep(router_mid, mid, reply)
-    assert kind == "forward" and pkt.next_hop == 9
+    pkt = process_rrep(router_mid, mid, reply)
+    assert pkt.next_hop == 9 and pkt.route == route
     src_router = RouterState(node_id=9)
     src_state = member_state(9, 1)
-    kind, dst = process_rrep(src_router, src_state, pkt)
-    assert kind == "installed" and dst == 5
+    assert process_rrep(src_router, src_state, pkt) is None
     assert src_router.cache[5] == route
 
 
@@ -376,14 +375,12 @@ def data_packet(src, dst, route):
 
 def test_forward_data_moves_down_route():
     state = member_state(1, 9)
-    action, nxt = forward_data(state, data_packet(9, 5, (9, 1, 5)))
-    assert (action, nxt) == ("forward", 5)
+    assert forward_data(state, data_packet(9, 5, (9, 1, 5))) == 5
 
 
 def test_forward_data_delivers_at_destination():
     state = member_state(5, 1)
-    action, nxt = forward_data(state, data_packet(9, 5, (9, 1, 5)))
-    assert (action, nxt) == ("deliver", None)
+    assert forward_data(state, data_packet(9, 5, (9, 1, 5))) is None
 
 
 def test_forward_data_off_route_is_hard_error():
