@@ -47,6 +47,6 @@ def test_the_classes_sum_to_each_module_line_count():
     for path in modules:
         source = path.read_text(encoding="utf-8")
         counts = src_lines.count_lines(source)
-        assert counts["total"] == len(source.splitlines()), path.name
+        assert counts["total"] == source.count("\n"), path.name  # as wc -l counts
         assert sum(counts[c] for c in src_lines.CLASSES) == counts["total"], path.name
         assert counts["code"] > 0, path.name
