@@ -88,12 +88,11 @@ class ExperimentPlan:
 
 @dataclass
 class SweepResult:
-    """Everything a sweep produced: raw rows, per-cell aggregates, file paths."""
+    """What a sweep produced: its plan, each run's report and per-cell aggregates."""
 
     plan: ExperimentPlan
     reports: dict[tuple, RunReport]  # (axis value, protocol value, seed) -> report
     summary: dict  # (axis value, protocol value) -> {metric: MetricStats}
-    out_dir: Path
 
 
 def _axis_value_of(report: RunReport, axis: SweepAxis):
@@ -158,7 +157,7 @@ def run_sweep(
             fh.flush()
     cells = group_cells(read_runs_csv(runs_path), plan.axis)
     summary = summarize_runs(cells)
-    result = SweepResult(plan=plan, reports=reports, summary=summary, out_dir=out)
+    result = SweepResult(plan=plan, reports=reports, summary=summary)
     write_summary_csv(out / "summary.csv", summary, plan.axis)
     (out / "report.txt").write_text(format_report(result, cells), encoding="utf-8")
     return result

@@ -16,9 +16,8 @@ does the lower-ranked one step down.  The variants differ only in the rank:
 
 A node's aggregate mobility is the mean of squared pairwise relative-mobility
 samples, one sample per live neighbor, computed from that neighbor's two most
-recent hello reception powers.  It is computed when read and cached until the
-table changes: hello receipt and expiry only mark it stale, and elections
-compare the value as of the last hello sent, so the sum runs about once per
+recent hello reception powers.  Elections compare the value as of the last
+hello sent, so it is summed, with no cache, when a hello is built: once per
 hello sent rather than once per hello received.
 
 Hello tables are derived once, by the sender: a hello carries its table as a
@@ -130,7 +129,6 @@ class NeighborEntry:
     bidirectional: bool
     role: Role
     advertised_mobility: float | None
-    prev_rx_power: float | None
     last_rx_power: float
     rel_mobility: float | None
     expires_at: float
@@ -157,8 +155,6 @@ class NodeClusterState:
     # set_link_role.
     adjacent_heads: set[int] = field(default_factory=set, init=False)
     adjacent_members: dict[int, NeighborEntry] = field(default_factory=dict, init=False)
-    # Cached own_mobility; None marks it stale after the table changed.
-    _mobility: float | None = field(default=0.0, init=False, repr=False)
     # Kept table_snapshot; None marks it stale after a link, role or entry
     # changed.
     _snapshot: tuple[NeighborTable, frozenset[int]] | None = field(
@@ -168,15 +164,9 @@ class NodeClusterState:
     @property
     def own_mobility(self) -> float:
         """Aggregate mobility over the live samples, in table order."""
-        if self._mobility is None:
-            self._mobility = aggregate_mobility(
-                [e.rel_mobility for e in self.neighbors.values() if e.rel_mobility is not None]
-            )
-        return self._mobility
-
-    @own_mobility.setter
-    def own_mobility(self, value: float) -> None:
-        self._mobility = value
+        return aggregate_mobility(
+            [e.rel_mobility for e in self.neighbors.values() if e.rel_mobility is not None]
+        )
 
     @property
     def warmup_until(self) -> float:
@@ -266,8 +256,8 @@ def build_hello(state: NodeClusterState) -> HelloMessage:
 def on_hello_received(
     state: NodeClusterState, hello: HelloMessage, rx_power: float, now: float
 ) -> ElectionOutcome:
-    """Fold a received hello into the table, mark the mobility metric stale,
-    and run the election step.  Returns the resulting role transition."""
+    """Fold a received hello into the table and the sender's mobility sample,
+    then run the election step.  Returns the resulting role transition."""
     sid = hello.sender_id
     advertised = hello.neighbor_table
     bidir = state.node_id in advertised
@@ -280,7 +270,6 @@ def on_hello_received(
             bidirectional=bidir,
             role=role,
             advertised_mobility=hello.sender_mobility,
-            prev_rx_power=None,
             last_rx_power=rx_power,
             rel_mobility=None,
             expires_at=now + state.neighbor_timeout,
@@ -289,16 +278,14 @@ def on_hello_received(
         )
     else:
         entry.advertised_mobility = hello.sender_mobility
-        prev = entry.prev_rx_power = entry.last_rx_power
+        entry.rel_mobility = relative_mobility(rx_power, entry.last_rx_power)
         entry.last_rx_power = rx_power
-        entry.rel_mobility = relative_mobility(rx_power, prev)
         entry.expires_at = now + state.neighbor_timeout
         entry.advertised_neighbors = advertised
         entry.advertised_heads = hello.advertised_heads
         touched = entry.bidirectional != bidir or entry.role is not role
     if touched:
         set_link_role(state, entry, bidir, role)
-    state._mobility = None
     return _election_step(state, now, touched)
 
 
@@ -312,7 +299,6 @@ def expire_neighbors(
         state.adjacent_heads.discard(nid)
         state.adjacent_members.pop(nid, None)
     if removed:
-        state._mobility = None
         state._snapshot = None
     return removed, _election_step(state, now, bool(removed))
 

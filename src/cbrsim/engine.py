@@ -206,7 +206,7 @@ class Simulation:
                     hello_interval=cfg.hello_interval,
                     neighbor_timeout=cfg.neighbor_timeout,
                 ),
-                router=RouterState(node_id=i),
+                router=RouterState(),
                 queue=InterfaceQueue(cfg.queue_capacity),
                 mobility_rng=mobility_rng,
                 hello_rng=random.Random(f"{seed}:hello:{i}"),
@@ -216,7 +216,6 @@ class Simulation:
             flows = generate_flows(cfg, random.Random(f"{seed}:flows"))
         self.flows: list[Flow] = flows
         self._in_flight: dict[int, DataPacket] = {}  # id -> emitted, not yet classified
-        self.route_log: list[tuple[float, int, int, tuple[int, ...]]] = []
         self.trace_enabled = trace
         self.event_trace: list[tuple[float, int, str, str]] = []
         self.route_event_trace: list[tuple[float, str, int, int]] = []
@@ -396,7 +395,7 @@ class Simulation:
                 route = packet.route
                 if self.trace_enabled:
                     self.route_event_trace.append((self.now, "rrep_recv", route[-1], len(route)))
-                self._route_installed(node, route[-1], route)
+                self._route_installed(node, route[-1])
         else:
             successor = routing.forward_data(node.cluster, packet)
             if successor is None:
@@ -505,7 +504,7 @@ class Simulation:
     def _originate(self, node: Node, destination: int) -> None:
         result = routing.originate_rreq(node.router, node.cluster, destination)
         if result.installed is not None:
-            self._route_installed(node, destination, result.installed)
+            self._route_installed(node, destination)
             return
         attempts = node.router.discoveries.get(destination, 0) + 1
         node.router.discoveries[destination] = attempts
@@ -531,13 +530,10 @@ class Simulation:
             return
         self._originate(node, destination)
 
-    def _route_installed(
-        self, node: Node, destination: int, route: tuple[int, ...]
-    ) -> None:
-        """``node`` has just cached ``route``: end the discovery, log the route
-        and send the packets that waited for it."""
+    def _route_installed(self, node: Node, destination: int) -> None:
+        """``node`` has just cached a route to ``destination``: end the
+        discovery and send the packets that waited for it."""
         node.router.discoveries.pop(destination, None)
-        self.route_log.append((self.now, node.node_id, destination, route))
         for packet in node.router.pending.pop(destination, ()):
             self._dispatch_data(node, packet)
 

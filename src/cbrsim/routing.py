@@ -60,7 +60,6 @@ class RouteReplyPacket:
 
 @dataclass
 class RouterState:
-    node_id: int
     cache: dict[int, tuple[int, ...]] = field(default_factory=dict)  # destination -> route
     pending: dict[int, deque[DataPacket]] = field(default_factory=dict)
     seen_requests: set[RequestId] = field(default_factory=set)

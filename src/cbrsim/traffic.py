@@ -6,7 +6,6 @@ import random
 from dataclasses import dataclass
 
 from .config import ScenarioConfig
-from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -48,11 +47,6 @@ def generate_flows(cfg: ScenarioConfig, rng: random.Random) -> list[Flow]:
             src, dst = rng.sample(range(cfg.node_count), 2)
             pairs.append((src, dst))
     else:
-        if 2 * count > cfg.node_count:
-            raise ConfigError(
-                f"too many flows for node count: {count} disjoint flows need "
-                f"{2 * count} endpoints but only {cfg.node_count} nodes exist"
-            )
         chosen = rng.sample(range(cfg.node_count), 2 * count)
         pairs = [(chosen[2 * i], chosen[2 * i + 1]) for i in range(count)]
     return [

@@ -99,7 +99,6 @@ def add_neighbor(
         bidirectional=bidirectional,
         role=role,
         advertised_mobility=advertised_mobility,
-        prev_rx_power=1.0 if rel_mobility is not None else None,
         last_rx_power=1.0,
         rel_mobility=rel_mobility,
         expires_at=expires_at,
@@ -109,6 +108,22 @@ def add_neighbor(
     state.neighbors[neighbor_id] = entry
     set_link_role(state, entry, entry.bidirectional, entry.role)
     return entry
+
+
+def route_spy(sim) -> list[tuple[float, int, int, tuple[int, ...]]]:
+    """Record each route ``sim`` installs as (time, node, destination, route),
+    in install order.  Wraps ``_route_installed`` on this instance alone and
+    reads the route from the node's cache, where both install paths (a route
+    answered from the table and a route reply reaching its source) put it."""
+    routes = []
+    installed = sim._route_installed
+
+    def spy(node, destination):
+        routes.append((sim.now, node.node_id, destination, node.router.cache[destination]))
+        installed(node, destination)
+
+    sim._route_installed = spy
+    return routes
 
 
 def set_neighbor_role(state: NodeClusterState, neighbor_id: int, role: Role) -> None:

@@ -17,7 +17,7 @@ from cbrsim.config import Protocol, ScenarioConfig, generate_initial_placement
 from cbrsim.engine import Simulation
 from cbrsim.metrics import SUMMARY_METRICS
 from cbrsim.radio import ChannelModel, received_power
-from conftest import bidirectional_disc_adjacency, child_env, is_connected
+from conftest import bidirectional_disc_adjacency, child_env, is_connected, route_spy
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -294,8 +294,9 @@ def test_criterion_7_routing_oracle():
             continue
         topologies += 1
         sim = Simulation(cfg)
+        routes = route_spy(sim)
         report = sim.run()
-        for _, _, _, hops in sim.route_log:
+        for _, _, _, hops in routes:
             assert len(set(hops)) == len(hops), f"repeated id in route {hops}"
             for a, b in zip(hops, hops[1:]):
                 assert adjacency[a][b], f"route {hops} uses non-edge {a}-{b}"

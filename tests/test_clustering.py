@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -111,7 +112,6 @@ def test_first_hello_creates_entry_without_rel_sample():
     sender = make_state(2)
     outcome = on_hello_received(receiver, hello_from(sender), 0.5, now=0.0)
     entry = receiver.neighbors[2]
-    assert entry.prev_rx_power is None
     assert entry.last_rx_power == 0.5
     assert entry.rel_mobility is None
     assert entry.bidirectional is False
@@ -215,7 +215,7 @@ def test_lid_ignores_mobility_values():
     # the lowest id wins although its own value is the highest and every
     # neighbor advertises a calmer one
     nodes = {
-        nid: make_state(nid, own_mobility=m, broadcast_mobility=m)
+        nid: make_state(nid, broadcast_mobility=m)
         for nid, m in ((1, 9.0), (2, 0.5), (3, 0.1))
     }
     for nid, state in nodes.items():
@@ -229,7 +229,7 @@ def test_lid_ignores_mobility_values():
     ]
 
     head = make_state(
-        1, role=Role.CLUSTER_HEAD, head_ids={1}, own_mobility=9.0, broadcast_mobility=9.0
+        1, role=Role.CLUSTER_HEAD, head_ids={1}, broadcast_mobility=9.0
     )
     add_neighbor(head, 2, role=Role.CLUSTER_HEAD, advertised_mobility=0.5)
     run_election(head, AFTER_WARMUP)
@@ -242,9 +242,9 @@ def test_lid_ignores_mobility_values():
 def test_cross_lowest_mobility_wins_tie_breaks_by_id():
     # mutual neighbors with values {node1: 4.0, node2: 1.5, node3: 1.5}
     nodes = {
-        1: make_state(1, protocol=Protocol.CROSS_CBRP, own_mobility=4.0, broadcast_mobility=4.0),
-        2: make_state(2, protocol=Protocol.CROSS_CBRP, own_mobility=1.5, broadcast_mobility=1.5),
-        3: make_state(3, protocol=Protocol.CROSS_CBRP, own_mobility=1.5, broadcast_mobility=1.5),
+        1: make_state(1, protocol=Protocol.CROSS_CBRP, broadcast_mobility=4.0),
+        2: make_state(2, protocol=Protocol.CROSS_CBRP, broadcast_mobility=1.5),
+        3: make_state(3, protocol=Protocol.CROSS_CBRP, broadcast_mobility=1.5),
     }
     advertised = {1: 4.0, 2: 1.5, 3: 1.5}
     for nid, state in nodes.items():
@@ -273,7 +273,7 @@ def test_cross_total_tie_degenerates_to_lowest_id():
 def test_cross_head_duel_lower_value_survives():
     stable = make_state(
         9, protocol=Protocol.CROSS_CBRP, role=Role.CLUSTER_HEAD, head_ids={9},
-        own_mobility=2.0, broadcast_mobility=2.0,
+        broadcast_mobility=2.0,
     )
     add_neighbor(stable, 1, role=Role.CLUSTER_HEAD, advertised_mobility=5.0)
     run_election(stable, AFTER_WARMUP)
@@ -281,7 +281,7 @@ def test_cross_head_duel_lower_value_survives():
 
     mobile = make_state(
         1, protocol=Protocol.CROSS_CBRP, role=Role.CLUSTER_HEAD, head_ids={1},
-        own_mobility=5.0, broadcast_mobility=5.0,
+        broadcast_mobility=5.0,
     )
     add_neighbor(mobile, 9, role=Role.CLUSTER_HEAD, advertised_mobility=2.0)
     run_election(mobile, AFTER_WARMUP)
@@ -295,7 +295,7 @@ def test_cross_head_steps_down_on_a_receipt_that_changes_only_mobility():
     # head must still run its election step on it.
     head = make_state(
         9, protocol=Protocol.CROSS_CBRP, role=Role.CLUSTER_HEAD, head_ids={9},
-        own_mobility=2.0, broadcast_mobility=2.0,
+        broadcast_mobility=2.0,
     )
     rival_table = {9: (True, Role.CLUSTER_HEAD)}
     hello = hello_with_table(1, rival_table, Role.CLUSTER_HEAD, 5.0)
@@ -311,7 +311,7 @@ def test_cross_member_with_lower_value_does_not_challenge():
     # least-cluster-change damping: a calmer member near a busier head stays put
     member = make_state(
         5, protocol=Protocol.CROSS_CBRP, role=Role.MEMBER, head_ids={2},
-        own_mobility=0.5, broadcast_mobility=0.5,
+        broadcast_mobility=0.5,
     )
     add_neighbor(member, 2, role=Role.CLUSTER_HEAD, advertised_mobility=3.0)
     run_election(member, AFTER_WARMUP)
@@ -321,7 +321,7 @@ def test_cross_member_with_lower_value_does_not_challenge():
 
 def test_cross_unknown_advertised_value_never_wins():
     state = make_state(
-        8, protocol=Protocol.CROSS_CBRP, own_mobility=100.0, broadcast_mobility=100.0
+        8, protocol=Protocol.CROSS_CBRP, broadcast_mobility=100.0
     )
     add_neighbor(state, 9, advertised_mobility=None)
     run_election(state, AFTER_WARMUP)
@@ -361,7 +361,7 @@ def test_expired_samples_leave_the_aggregate():
     state = make_state(1)
     add_neighbor(state, 2, rel_mobility=3.0, expires_at=5.0)
     add_neighbor(state, 3, rel_mobility=-4.0, expires_at=50.0)
-    state.own_mobility = aggregate_mobility([3.0, -4.0])
+    assert state.own_mobility == aggregate_mobility([3.0, -4.0])
     expire_neighbors(state, now=10.0)
     assert state.own_mobility == pytest.approx(16.0, rel=1e-12)
 
@@ -407,7 +407,7 @@ def test_gateway_set_member_bridging_two_clusters():
         next_hop=1,
         size_bytes=control_size_bytes(1),
     )
-    result = process_rreq(RouterState(node_id=1), head, request)
+    result = process_rreq(RouterState(), head, request)
     assert [p.next_hop for p in result.forwards] == [4]
 
 
@@ -451,8 +451,7 @@ def hello_with_table(sender_id, table, role, mobility):
     for nid, (bidir, nrole) in table.items():
         if nid != sender_id:
             add_neighbor(sender, nid, bidirectional=bidir, role=nrole)
-    sender.own_mobility = mobility
-    return build_hello(sender)
+    return replace(build_hello(sender), sender_mobility=mobility)
 
 
 def live_aggregate(state):
@@ -539,12 +538,10 @@ def test_hello_table_is_shared_by_every_receiver():
     assert receivers[1].neighbors[2].bidirectional is False
 
 
-def test_mobility_is_summed_on_read_and_assignable():
+def test_mobility_is_summed_on_read():
     state = make_state(1)
     on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0), 1.0, now=0.0)
     on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0), 10.0, now=1.0)
     assert state.own_mobility == 100.0
-    state.own_mobility = 7.0  # direct assignment sticks until the table changes
-    assert state.own_mobility == 7.0
     on_hello_received(state, hello_with_table(2, {}, Role.UNDECIDED, 0.0), 10.0, now=2.0)
     assert state.own_mobility == 0.0

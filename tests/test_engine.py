@@ -16,17 +16,18 @@ from cbrsim.metrics import FATE_NO_ROUTE, FATE_QUEUE
 from cbrsim.mobility import WaypointLeg
 from cbrsim.routing import RouteRequestPacket, control_size_bytes
 from cbrsim.traffic import DataPacket
-from conftest import assert_election_settled, make_cfg, static_cfg
+from conftest import assert_election_settled, make_cfg, route_spy, static_cfg
 
 
 def test_identical_seeds_replay_bit_for_bit():
     cfg = make_cfg(sim_duration=40.0, max_speed=15.0, flow_count=3)
     a = Simulation(cfg)
     b = Simulation(cfg)
+    a_routes, b_routes = route_spy(a), route_spy(b)
     ra, rb = a.run(), b.run()
     assert ra == rb
     assert a.ledger.role_changes == b.ledger.role_changes
-    assert a.route_log == b.route_log
+    assert a_routes == b_routes
     assert a.cluster_snapshot() == b.cluster_snapshot()
 
 
@@ -449,6 +450,7 @@ def test_whole_engine_runs_conserve_packets_and_replay(cfg):
     # Catches any InvariantError an engine path can raise, a packet that ends
     # up in no fate or in two, and state shared between runs.
     first, second = Simulation(cfg), Simulation(cfg)
+    first_routes, second_routes = route_spy(first), route_spy(second)
     report = first.run()
     assert (
         report.data_delivered
@@ -459,7 +461,7 @@ def test_whole_engine_runs_conserve_packets_and_replay(cfg):
     ) == report.data_sent
     assert second.run() == report
     assert second.ledger.role_changes == first.ledger.role_changes
-    assert second.route_log == first.route_log
+    assert second_routes == first_routes
     # Both protocols see the same placement and flows for a seed.
     other = [p for p in Protocol if p is not cfg.protocol][0]
     twin = Simulation(cfg.with_overrides(protocol=other))

@@ -1,8 +1,9 @@
 """Engine-level routing behavior: forwarding failures, retry policy, drops."""
 
 from cbrsim.engine import Simulation
+from cbrsim.routing import RouteReplyPacket, control_size_bytes
 from cbrsim.traffic import Flow
-from conftest import static_cfg
+from conftest import add_neighbor, route_spy, static_cfg
 
 
 def two_island_cfg(**overrides):
@@ -83,3 +84,32 @@ def test_pending_buffer_overflow_drops_oldest():
     assert pending is not None and len(pending) == PENDING_LIMIT
     assert report.drop_no_route == report.data_sent - PENDING_LIMIT
     assert report.in_flight_at_horizon == PENDING_LIMIT
+
+
+def three_node_sim():
+    # 0 and 2 in range of each other, 1 in range of 2 alone
+    cfg = two_island_cfg(node_count=3)
+    return Simulation(cfg, placement=[(50.0, 50.0), (450.0, 50.0), (250.0, 50.0)])
+
+
+def test_route_spy_records_a_route_answered_from_the_table():
+    sim = three_node_sim()
+    source = sim.nodes[0]
+    add_neighbor(source.cluster, 2)
+    routes = route_spy(sim)
+    sim._originate(source, 2)
+    assert routes == [(0.0, 0, 2, (0, 2))]
+    assert source.queue.transmitting is None  # no route request went out
+    assert 2 not in source.router.discoveries
+
+
+def test_route_spy_records_a_route_reply_reaching_its_source():
+    sim = three_node_sim()
+    source = sim.nodes[0]
+    source.router.discoveries[1] = 1
+    routes = route_spy(sim)
+    reply = RouteReplyPacket(route=(0, 2, 1), next_hop=0, size_bytes=control_size_bytes(3))
+    sim._on_packet_delivery(0, reply, 2)
+    assert routes == [(0.0, 0, 1, (0, 2, 1))]
+    assert source.router.cache[1] == (0, 2, 1)
+    assert 1 not in source.router.discoveries

@@ -28,6 +28,7 @@ from conftest import (
     is_connected,
     make_cfg,
     make_state,
+    route_spy,
 )
 
 
@@ -55,7 +56,7 @@ def test_member_unicasts_one_copy_per_head():
     state = make_state(4, role=Role.MEMBER, head_ids={1, 2})
     add_neighbor(state, 1, role=Role.CLUSTER_HEAD)
     add_neighbor(state, 2, role=Role.CLUSTER_HEAD)
-    router = RouterState(node_id=4)
+    router = RouterState()
     result = originate_rreq(router, state, target=9)
     assert result.installed is None
     assert [p.next_hop for p in result.packets] == [1, 2]
@@ -66,7 +67,7 @@ def test_member_unicasts_one_copy_per_head():
 def test_neighbor_target_answered_without_flooding():
     state = member_state(4, 1)
     add_neighbor(state, 9, role=Role.MEMBER)
-    router = RouterState(node_id=4)
+    router = RouterState()
     result = originate_rreq(router, state, target=9)
     assert result.installed == (4, 9)
     assert result.packets == []
@@ -75,7 +76,7 @@ def test_neighbor_target_answered_without_flooding():
 
 def test_headless_source_cannot_originate():
     state = make_state(4)
-    router = RouterState(node_id=4)
+    router = RouterState()
     result = originate_rreq(router, state, target=9)
     assert result.installed is None
     assert result.packets == []
@@ -87,7 +88,7 @@ def test_head_source_processes_locally_without_unicast_hop():
         head, 4, role=Role.MEMBER,
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
     )
-    router = RouterState(node_id=1)
+    router = RouterState()
     result = originate_rreq(router, head, target=9)
     # fan-out goes straight to the gateway; the head itself adds no hop
     assert result.installed is None
@@ -100,7 +101,7 @@ def test_head_source_processes_locally_without_unicast_hop():
 
 def test_duplicate_request_dropped():
     state = member_state(2, 1)
-    router = RouterState(node_id=2)
+    router = RouterState()
     packet = rreq((9, 1), 9, 5, (9,))
     first = process_rreq(router, state, packet)
     second = process_rreq(router, state, packet)
@@ -109,7 +110,7 @@ def test_duplicate_request_dropped():
 
 def test_request_revisiting_node_dropped():
     state = member_state(2, 1)
-    router = RouterState(node_id=2)
+    router = RouterState()
     packet = rreq((9, 1), 9, 5, (9, 2, 7))
     result = process_rreq(router, state, packet)
     assert result.reply is None and result.forwards == ()
@@ -117,7 +118,7 @@ def test_request_revisiting_node_dropped():
 
 def test_target_replies_with_completed_route():
     state = member_state(5, 1)
-    router = RouterState(node_id=5)
+    router = RouterState()
     result = process_rreq(router, state, rreq((9, 1), 9, 5, (9, 1)))
     assert result.forwards == []
     assert result.reply is not None
@@ -128,7 +129,7 @@ def test_target_replies_with_completed_route():
 def test_node_with_target_as_bidirectional_neighbor_replies():
     head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
     add_neighbor(head, 5, role=Role.MEMBER)
-    router = RouterState(node_id=1)
+    router = RouterState()
     result = process_rreq(router, head, rreq((9, 1), 9, 5, (9,)))
     assert result.reply.route == (9, 1, 5)
 
@@ -141,7 +142,7 @@ def test_head_forwards_one_copy_per_neighboring_cluster():
             head, mid, role=Role.MEMBER,
             advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
         )
-    router = RouterState(node_id=1)
+    router = RouterState()
     result = process_rreq(router, head, rreq((9, 1), 9, 42, (9,)))
     assert [p.next_hop for p in result.forwards] == [3]
     assert result.forwards[0].recorded_route == (9, 1)
@@ -171,7 +172,7 @@ def test_head_copies_only_toward_other_clusters(neighbors, copies):
     head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
     for nid, (role, table) in neighbors.items():
         add_neighbor(head, nid, role=role, advertised_neighbors=table)
-    router = RouterState(node_id=1)
+    router = RouterState()
     result = process_rreq(router, head, rreq((9, 6), 9, 42, (9,)))
     assert [p.next_hop for p in result.forwards] == copies
 
@@ -182,7 +183,7 @@ def test_head_skips_clusters_already_on_route():
         head, 3, role=Role.MEMBER,
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
     )
-    router = RouterState(node_id=1)
+    router = RouterState()
     result = process_rreq(router, head, rreq((9, 2), 9, 42, (9, 6)))
     assert result.forwards == []
 
@@ -194,7 +195,7 @@ def test_border_member_relays_toward_foreign_cluster():
         head, 3, role=Role.MEMBER,
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 7: (True, Role.MEMBER)},
     )
-    router = RouterState(node_id=1)
+    router = RouterState()
     result = process_rreq(router, head, rreq((9, 3), 9, 42, (9,)))
     assert [p.next_hop for p in result.forwards] == [3]
 
@@ -210,7 +211,7 @@ def test_member_relays_to_heads_and_foreign_members_only():
         state, 7, role=Role.MEMBER,
         advertised_neighbors={8: (True, Role.CLUSTER_HEAD)},
     )  # member of a foreign cluster
-    router = RouterState(node_id=4)
+    router = RouterState()
     result = process_rreq(router, state, rreq((9, 4), 9, 42, (9, 1)))
     assert [p.next_hop for p in result.forwards] == [6, 7]
 
@@ -218,14 +219,14 @@ def test_member_relays_to_heads_and_foreign_members_only():
 def test_undecided_node_drops_requests():
     state = make_state(4)
     add_neighbor(state, 6, role=Role.CLUSTER_HEAD, bidirectional=False)
-    router = RouterState(node_id=4)
+    router = RouterState()
     result = process_rreq(router, state, rreq((9, 5), 9, 42, (9,)))
     assert result.reply is None and result.forwards == []
 
 
 def test_recorded_route_never_repeats_ids():
     state = member_state(2, 1)
-    router = RouterState(node_id=2)
+    router = RouterState()
     result = process_rreq(router, state, rreq((9, 9), 9, 42, (9, 1)))
     for copy in result.forwards:
         assert len(set(copy.recorded_route)) == len(copy.recorded_route)
@@ -335,31 +336,31 @@ def test_forward_targets_match_a_scan_of_the_table(state, route):
 def test_reply_forwarded_hop_by_hop_then_installed():
     route = (9, 1, 5)
     mid = member_state(1, 9)
-    router_mid = RouterState(node_id=1)
-    reply = process_rreq(RouterState(node_id=5), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1))).reply
+    router_mid = RouterState()
+    reply = process_rreq(RouterState(), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1))).reply
     pkt = process_rrep(router_mid, mid, reply)
     assert pkt.next_hop == 9 and pkt.route == route
-    src_router = RouterState(node_id=9)
+    src_router = RouterState()
     src_state = member_state(9, 1)
     assert process_rrep(src_router, src_state, pkt) is None
     assert src_router.cache[5] == route
 
 
 def test_reply_at_node_off_route_is_hard_error():
-    router = RouterState(node_id=3)
+    router = RouterState()
     state = member_state(3, 1)
-    reply = process_rreq(RouterState(node_id=5), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1))).reply
+    reply = process_rreq(RouterState(), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1))).reply
     with pytest.raises(InvariantError):
         process_rrep(router, state, reply)
 
 
 def test_newest_route_wins_cache():
-    router = RouterState(node_id=9)
+    router = RouterState()
     state = member_state(9, 1)
     add_neighbor(state, 5, role=Role.MEMBER)
     originate_rreq(router, state, 5)
     assert router.cache[5] == (9, 5)
-    reply = process_rreq(RouterState(node_id=5), member_state(5, 1), rreq((9, 7), 9, 5, (9, 1))).reply
+    reply = process_rreq(RouterState(), member_state(5, 1), rreq((9, 7), 9, 5, (9, 1))).reply
     process_rrep(router, state, reply)
     assert router.cache[5] == (9, 1, 5)
 
@@ -432,11 +433,12 @@ def make_chain_sim(cfg):
 def test_chain_route_alternates_head_gateway():
     cfg = make_cfg(**CHAIN_KW)
     sim = make_chain_sim(cfg)
+    installed = route_spy(sim)
     report = sim.run()
     roles = {nid: role for nid, role, _, _ in sim.cluster_snapshot()}
     assert roles[0] == "head" and roles[1] == "head"
     assert roles[2] == "member" and roles[4] == "member" and roles[3] == "member"
-    routes = {r[3] for r in sim.route_log if r[1] == 4}
+    routes = {r[3] for r in installed if r[1] == 4}
     assert (4, 0, 2, 1, 3) in routes
     assert report.data_delivered == report.data_sent > 0
     # latency on the static 4-hop chain: four store-and-forward transmissions
@@ -475,8 +477,9 @@ def test_static_random_topologies_routes_valid_and_all_delivered():
             continue
         topologies += 1
         sim = Simulation(cfg)
+        routes = route_spy(sim)
         report = sim.run()
-        for _, _, _, hops in sim.route_log:
+        for _, _, _, hops in routes:
             for a, b in zip(hops, hops[1:]):
                 assert adj[a][b], f"route {hops} uses non-edge {a}-{b}"
             validated_routes += 1
