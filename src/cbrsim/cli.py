@@ -364,8 +364,8 @@ def plan_from_args(args) -> ExperimentPlan:
             values = tuple(float(v) for v in value_text.split(",") if v.strip())
         except ValueError:
             raise ConfigError(f"bad sweep values {value_text!r}") from None
-        if not values:
-            raise ConfigError("sweep requires at least one value")
+        if not values or len(set(values)) < len(values):
+            raise ConfigError(f"sweep needs one or more distinct values, got {value_text!r}")
     return ExperimentPlan(base=base, axis=axis, values=values, protocols=protocols, seeds=seeds)
 
 

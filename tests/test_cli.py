@@ -194,6 +194,16 @@ def test_cli_unknown_sweep_axis_exits_2(fast_cfg_file, tmp_path):
     ]) == 2
 
 
+def test_cli_repeated_sweep_value_exits_2(fast_cfg_file, tmp_path, capsys):
+    # One cell run twice would read as two replicates with zero spread.
+    out = tmp_path / "o"
+    assert main([
+        "--config", str(fast_cfg_file), "--sweep", "speed=5,5.0", "--out", str(out),
+    ]) == 2
+    assert "distinct values, got '5,5.0'" in capsys.readouterr().err
+    assert not (out / "runs.csv").exists()
+
+
 def test_cli_flags_parse_like_file_lines():
     args = build_parser().parse_args(["--area", "500x400", "--fading_enabled", "yes"])
     assert plan_from_args(args).base == parse_config("area=500x400\nfading_enabled=yes\n")
