@@ -1,7 +1,10 @@
 """The per-metric summary of tools/bench_pairs.py, on canned results."""
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -45,3 +48,29 @@ def test_a_drop_inside_the_iqr_does_not_meet_the_claim():
     stats = bench_pairs.summarize(BASE, [b - 0.01 for b in BASE])
     assert stats["wins"] == 10
     assert stats["claim_met"] is False
+
+
+def test_json_holds_each_workloads_summary(tmp_path, monkeypatch):
+    def fake_run(tree, workload, seed, held_out):
+        value = (1.0 if tree.name == "change" else 2.0) + seed / 100
+        metrics = {m: {"value": value} for m in bench_pairs.METRICS}
+        return {"correct": workload != "bad", "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda repo, rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "src_totals", lambda tree: {"total": len(tree.name)})
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    args = ["--workload", "good", "bad", "--pairs", "4", "--json", str(out)]
+    assert bench_pairs.main(args) == 1  # a run of "bad" was not correct
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["pairs"] == 4 and data["pool"] == "main"
+    assert data["src_lines"] == {"base": {"total": 4}, "change": {"total": 6}}
+    assert "tier1" not in data
+    assert data["workloads"]["good"]["all_correct"] is True
+    assert data["workloads"]["bad"]["all_correct"] is False
+    wall = data["workloads"]["good"]["metrics"]["wall_s"]
+    assert wall["base"]["runs"] == [2.01, 2.02, 2.03, 2.04]
+    base = wall["base"]
+    assert (base["q1"], base["median"], base["iqr"]) == pytest.approx((2.0175, 2.025, 0.015))
+    assert wall["change"]["median"] == pytest.approx(1.025)
+    assert wall["wins"] == 4 and wall["claim_met"] is True

@@ -3,6 +3,8 @@
     python3 tools/bench_pairs.py --workload default-100 --pairs 10
     python3 tools/bench_pairs.py --workload desk-mobile --pairs 10 --held-out
     python3 tools/bench_pairs.py --workload rate-sweep --base main --change my-branch
+    python3 tools/bench_pairs.py --workload desk-mobile default-100 rate-sweep \
+        --tier1 --json BENCH.json
 
 Each revision is exported with ``git archive`` into its own temporary tree, so
 neither side sees the working copy.  Pair ``i`` runs
@@ -14,7 +16,13 @@ change did better (all four metrics are lower-is-better), and whether the
 change meets the claim rule: at least 9/10 wins and a median drop larger than
 the base's interquartile range.  It exits 1 when a run fails or reports
 ``correct: false``.  Uncommitted work can be measured with
-``--change $(git stash create)``.  Stdlib only.
+``--change $(git stash create)``.
+
+``--json PATH`` also writes the summary as JSON: per workload and metric,
+each side's runs, median, quartiles and IQR, the change's wins and ``claim_met``;
+and per side the ``tools/src_lines.py`` totals.  ``--tier1`` adds one timed
+Tier-1 run per side (``python -m pytest -q`` with ``PYTHONPATH=src``), after
+the pairs, with the last line pytest printed.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -22,15 +30,19 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
 
 
 def export(repo: Path, rev: str, dest: Path) -> None:
@@ -78,13 +90,72 @@ def summarize(base: list[float], change: list[float]) -> dict:
     }
 
 
+def src_totals(tree: Path) -> dict[str, int]:
+    """The total row ``tools/src_lines.py`` prints for the package in ``tree``."""
+    tool = Path(__file__).resolve().parent / "src_lines.py"
+    lines = subprocess.run(
+        [sys.executable, str(tool), str(tree / "src" / "cbrsim")],
+        check=True, capture_output=True, text=True,
+    ).stdout.splitlines()
+    header, total = lines[0].split()[1:], lines[-1].split()[1:]
+    return dict(zip(header, map(int, total)))
+
+
+def run_tier1(tree: Path) -> dict:
+    """One Tier-1 run in ``tree``: its wall time and pytest's last line."""
+    env = {**os.environ, "PYTHONPATH": "src"}
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=tree, env=env, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": round(time.perf_counter() - t0, 1), "result": lines[-1] if lines else ""}
+
+
+def run_pairs(sides: dict[str, Path], workload: str, pairs: int, held_out: bool):
+    """Alternating runs of one workload: each side's results in pair order,
+    and whether every run was correct with none failed."""
+    results: dict[str, list[dict]] = {side: [] for side in sides}
+    ok = True
+    for i in range(pairs):
+        seed = i + 1
+        order = ("base", "change") if i % 2 == 0 else ("change", "base")
+        for side in order:
+            out = run_once(sides[side], workload, seed, held_out)
+            ok = ok and out["correct"] and out["failed"] == 0
+            results[side].append(out)
+        row = "  ".join(
+            f"{m} {results['base'][-1]['metrics'][m]['value']:.3f}"
+            f" -> {results['change'][-1]['metrics'][m]['value']:.3f}"
+            for m in METRICS
+        )
+        print(f"pair {i + 1:2d} seed {seed} ({order[0]} first): {row}", flush=True)
+    return results, ok
+
+
+def workload_summary(results: dict[str, list[dict]]) -> dict:
+    """Per metric: each side's runs, median, quartiles and interquartile
+    range, the change's wins and ``claim_met``."""
+    summary = {}
+    for m in METRICS:
+        runs = {side: [r["metrics"][m]["value"] for r in rs] for side, rs in results.items()}
+        stats = summarize(runs["base"], runs["change"])
+        entry = {}
+        for side in ("base", "change"):
+            q1, median, q3 = stats[side]
+            entry[side] = {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+            entry[side]["runs"] = runs[side]
+        summary[m] = {**entry, "wins": stats["wins"], "claim_met": stats["claim_met"]}
+    return summary
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--base", default="HEAD~1", help="revision measured as the parent")
     parser.add_argument("--change", default="HEAD", help="revision measured as the change")
     parser.add_argument("--held-out", action="store_true", help="passed to perfbench")
+    parser.add_argument("--json", type=Path, help="also write the summary here")
+    parser.add_argument("--tier1", action="store_true", help="time one Tier-1 run per side")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -92,42 +163,37 @@ def main(argv: list[str] | None = None) -> int:
     repo = Path(__file__).resolve().parent.parent
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
     sides = {"base": scratch / "base", "change": scratch / "change"}
-    results: dict[str, list[dict]] = {side: [] for side in sides}
+    pool = "held-out" if args.held_out else "main"
+    report = {"base": args.base, "change": args.change, "pool": pool, "pairs": args.pairs}
+    report["workloads"] = {}
     ok = True
     try:
         export(repo, args.base, sides["base"])
         export(repo, args.change, sides["change"])
-        for i in range(args.pairs):
-            seed = i + 1
-            order = ("base", "change") if i % 2 == 0 else ("change", "base")
-            for side in order:
-                out = run_once(sides[side], args.workload, seed, args.held_out)
-                ok = ok and out["correct"] and out["failed"] == 0
-                results[side].append(out)
-            row = "  ".join(
-                f"{m} {results['base'][-1]['metrics'][m]['value']:.3f}"
-                f" -> {results['change'][-1]['metrics'][m]['value']:.3f}"
-                for m in METRICS
-            )
-            print(f"pair {i + 1:2d} seed {seed} ({order[0]} first): {row}", flush=True)
+        report["src_lines"] = {side: src_totals(tree) for side, tree in sides.items()}
+        for workload in args.workload:
+            results, correct = run_pairs(sides, workload, args.pairs, args.held_out)
+            ok = ok and correct
+            summary = workload_summary(results)
+            report["workloads"][workload] = {"all_correct": correct, "metrics": summary}
+            print(f"\n{workload}, {pool} pool, {args.pairs} pairs, {args.base} -> {args.change}")
+            for m, st in summary.items():
+                b, c = st["base"], st["change"]
+                print(
+                    f"{m:12s} base {b['median']:.3f} [{b['q1']:.3f}, {b['q3']:.3f}]"
+                    f"  change {c['median']:.3f} [{c['q1']:.3f}, {c['q3']:.3f}]"
+                    f"  {100.0 * (c['median'] - b['median']) / b['median']:+.1f}%"
+                    f"  change won {st['wins']}/{args.pairs}  base IQR {b['iqr']:.3f}"
+                    f"  claim met {st['claim_met']}"
+                )
+            print(f"all runs correct with 0 failed: {correct}\n", flush=True)
+        if args.tier1:
+            report["tier1"] = {side: run_tier1(tree) for side, tree in sides.items()}
+            print(f"tier1: {report['tier1']}")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-    pool = "held-out" if args.held_out else "main"
-    print(f"\n{args.workload}, {pool} pool, {args.pairs} pairs, {args.base} -> {args.change}")
-    for m in METRICS:
-        base = [r["metrics"][m]["value"] for r in results["base"]]
-        change = [r["metrics"][m]["value"] for r in results["change"]]
-        stats = summarize(base, change)
-        (bq1, bmed, bq3), (cq1, cmed, cq3) = stats["base"], stats["change"]
-        print(
-            f"{m:12s} base {bmed:.3f} [{bq1:.3f}, {bq3:.3f}]"
-            f"  change {cmed:.3f} [{cq1:.3f}, {cq3:.3f}]"
-            f"  {100.0 * (cmed - bmed) / bmed:+.1f}%"
-            f"  change won {stats['wins']}/{args.pairs}  base IQR {bq3 - bq1:.3f}"
-            f"  claim met {stats['claim_met']}"
-        )
-    print(f"all runs correct with 0 failed: {ok}")
+    if args.json:
+        args.json.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     return 0 if ok else 1
 
 
