@@ -14,27 +14,24 @@ count as forwarding failures.  Per-node interface queues hold control packets
 arriving at a full queue evicts the newest data packet rather than being
 lost.
 
-A hello broadcast is delivered in one pass.  When its transmission completes,
-the sender's position is read, then one loop over the other nodes reads each
-position once and lists the nodes in range, in id order, with their distances
-from the sender.  One delivery event then hands the hello to each of them in
-that order.  One event per receiver would run the same way: those events
-would carry consecutive sequence numbers at one instant, so no other event
-could run between them, and whatever they schedule comes after the last of
-them.  Reception power, with its fading draw, is evaluated at delivery, in
-receiver order.  Every position read goes through ``mobility.position_at``,
-which checks that the node's current leg covers the instant.
+A transmission takes one event.  Its reception runs inside the event that
+completes it, unless another event is already due at or before that instant;
+then the reception is scheduled as a delivery event at that instant (the
+fallback).  Either way events run in the order a delivery event per
+transmission gives: every event already due at the instant was scheduled
+before that delivery would be, so it runs first, and the check sends exactly
+those cases to the heap; otherwise the delivery would be the next event
+popped.  Skipping its sequence number shifts every later number alike, which
+keeps their order.
 
-Most events are deliveries scheduled for the instant they are sent, so those
-skip the heap.  ``schedule`` still draws a sequence number for every event, but
-one whose time equals ``now`` (and the time of the events already waiting
-there) joins a FIFO lane instead.  The lane's events share one time and
-ascending sequence numbers, so the lane is sorted by (time, sequence) as it
-stands.  The run loop pops the heap only when the heap's head sorts before the
-lane's head, which makes the dispatch order the merge of two sorted streams:
-the same order one heap gives.  An event inside the scheduler's 1e-9 s past
-slack sorts before the lane and goes to the heap; once it runs, ``now`` differs
-from the lane's time, so events scheduled at that instant go to the heap too.
+A hello is delivered in one loop.  The sender's position is read, then each
+other node's, in id order; each node inside the closed range disc gets the
+hello at once.  Reception power, with its fading draw, is evaluated per
+receiver in that order.  In the fallback a waypoint arrival at the same
+instant may run before the loop, but the new leg starts at the old leg's
+destination, so every position and the receiver set are unchanged.  Every
+position read goes through ``mobility.position_at``, which checks that the
+node's current leg covers the instant.
 """
 
 from __future__ import annotations
@@ -180,7 +177,6 @@ class Simulation:
         self._range_sq = cfg.tx_range * cfg.tx_range
         self._link_rate = cfg.link_rate
         self._heap: list = []
-        self._lane: deque = deque()  # events at one instant, in seq order
         self._seq = itertools.count()
         self._finished = False
         seed = cfg.rng_seed
@@ -226,15 +222,9 @@ class Simulation:
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, time: float, kind: EventKind, payload: tuple) -> None:
-        now = self.now
-        if time == now:
-            lane = self._lane
-            if not lane or lane[0][0] == time:
-                lane.append((time, next(self._seq), kind, payload))
-                return
-        elif time < now - 1e-9:
+        if time < self.now - 1e-9:
             raise InvariantError(
-                f"scheduling into the past: t={time} < now={now} ({kind})"
+                f"scheduling into the past: t={time} < now={self.now} ({kind})"
             )
         heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
 
@@ -259,20 +249,12 @@ class Simulation:
         if self._finished:
             raise RuntimeError("a Simulation instance runs once")
         duration = self.cfg.sim_duration
-        heap, lane = self._heap, self._lane
-        heappop, lane_pop = heapq.heappop, lane.popleft
+        heap, heappop = self._heap, heapq.heappop
         handlers = self._HANDLERS
-        while True:
-            # The earlier head by (time, seq) runs next; sequence numbers are
-            # unique, so the tuple comparison never reaches the kind.
-            if lane and not (heap and heap[0] < lane[0]):
-                if lane[0][0] > duration:
-                    break
-                time, _, kind, payload = lane_pop()
-            elif heap and heap[0][0] <= duration:
-                time, _, kind, payload = heappop(heap)
-            else:
-                break
+        # Sequence numbers are unique, so the heap's tuple comparison never
+        # reaches the kind.
+        while heap and heap[0][0] <= duration:
+            time, _, kind, payload = heappop(heap)
             self.now = time
             handlers[kind](self, *payload)
         self.now = duration
@@ -311,21 +293,15 @@ class Simulation:
             raise InvariantError(f"node {node_id} completed an idle transmission")
         queue.transmitting = None
         now = self.now
-        range_sq = self._range_sq
         if isinstance(packet, HelloMessage):
             self.ledger.hello_sent += 1
-            receivers = self._hello_receivers(node_id, range_sq)
-            if receivers:
-                self.schedule(now, _PACKET_DELIVERY, (receivers, packet, node_id))
+            reachable = True  # its receivers are found at delivery
         else:
             x, y = position_at(node.leg, now)
-            next_hop = packet.next_hop
-            ox, oy = position_at(self.nodes[next_hop].leg, now)
+            ox, oy = position_at(self.nodes[packet.next_hop].leg, now)
             dx = ox - x
             dy = oy - y
-            reachable = dx * dx + dy * dy <= range_sq
-            if reachable:
-                self.schedule(now, _PACKET_DELIVERY, (next_hop, packet, node_id))
+            reachable = dx * dx + dy * dy <= self._range_sq
             if isinstance(packet, RouteRequestPacket):
                 self.ledger.rreq_sent += 1
                 if not reachable:
@@ -349,35 +325,23 @@ class Simulation:
             self.event_trace.append(
                 (self.now, node_id, "transmit_complete", type(packet).__name__)
             )
-
-    def _hello_receivers(self, sender_id: int, range_sq: float) -> list[tuple[int, float]]:
-        """(node id, distance) of every node a hello from ``sender_id`` reaches
-        now, in id order; each node's position, the sender's first, is read
-        once."""
-        now = self.now
-        sender = self.nodes[sender_id]
-        sx, sy = position_at(sender.leg, now)
-        hypot = math.hypot
-        receivers = []
-        for other in self.nodes:
-            if other is sender:
-                continue
-            x, y = position_at(other.leg, now)
-            dx = x - sx
-            dy = y - sy
-            if dx * dx + dy * dy <= range_sq:
-                # Same bits as math.dist(sender position, receiver position).
-                receivers.append((other.node_id, hypot(dx, dy)))
-        return receivers
+        if reachable:
+            # Receive now unless an event is due first (module docstring).
+            heap = self._heap
+            if heap and heap[0][0] <= now:
+                self.schedule(now, _PACKET_DELIVERY, (packet,))
+            else:
+                self._on_packet_delivery(packet)
 
     # -- reception path -----------------------------------------------------
 
-    def _on_packet_delivery(self, recipient, packet, sender_id: int) -> None:
-        """Deliver ``packet`` from ``sender_id``.  ``recipient`` is a node id,
-        or for a hello the (node id, distance) list from ``_hello_receivers``."""
+    def _on_packet_delivery(self, packet) -> None:
+        """Deliver ``packet``: a hello to every node in range of its sender,
+        anything else to its next hop."""
         if isinstance(packet, HelloMessage):
-            self._deliver_hello(recipient, packet)
+            self._deliver_hello(packet)
             return
+        recipient = packet.next_hop
         node = self.nodes[recipient]
         if self.trace_enabled:
             self.event_trace.append((self.now, recipient, "receive", type(packet).__name__))
@@ -409,8 +373,13 @@ class Simulation:
                 packet.next_hop = successor
                 self._enqueue_packet(node, packet)
 
-    def _deliver_hello(self, receivers: list[tuple[int, float]], hello: HelloMessage) -> None:
+    def _deliver_hello(self, hello: HelloMessage) -> None:
+        """Hand ``hello`` to every node inside its sender's closed range disc,
+        in id order; each position, the sender's first, is read once."""
         now, nodes = self.now, self.nodes
+        sender = nodes[hello.sender_id]
+        sx, sy = position_at(sender.leg, now)
+        range_sq = self._range_sq
         trace = self.event_trace if self.trace_enabled else None
         # Received power at the configured transmit power.  The mobility metric
         # reads only ratios of successive powers, so elections do not depend on
@@ -419,10 +388,19 @@ class Simulation:
         channel, rng = self.channel, self._fading_rng
         tx_power = self.cfg.tx_power
         d0 = REFERENCE_DISTANCE
-        for recipient_id, distance in receivers:
-            node = nodes[recipient_id]
+        hypot = math.hypot
+        for node in nodes:
+            if node is sender:
+                continue
+            x, y = position_at(node.leg, now)
+            dx = x - sx
+            dy = y - sy
+            if dx * dx + dy * dy > range_sq:
+                continue
+            # Same bits as math.dist(sender position, receiver position).
+            distance = hypot(dx, dy)
             if trace is not None:
-                trace.append((now, recipient_id, "receive", type(hello).__name__))
+                trace.append((now, node.node_id, "receive", type(hello).__name__))
             rx_power = tx_power * channel_gain(channel, d0 if distance < d0 else distance, rng)
             outcome = clustering.on_hello_received(node.cluster, hello, rx_power, now)
             if outcome.changed or outcome.send_hello:

@@ -68,12 +68,12 @@ def test_equal_time_events_processed_in_schedule_order():
     assert popped == ["first", "second"]
 
 
-def test_same_instant_lane_keeps_single_heap_order(monkeypatch):
-    # Catches a same-instant lane drained ahead of heap events scheduled
-    # earlier for that instant, a lane that takes an event at a different time
-    # than the one it holds (after an event inside the 1e-9 s past slack ran),
-    # and an event that reaches the run loop without Simulation.schedule, where
-    # the benchmark counts events.
+def test_in_place_reception_keeps_single_heap_order(monkeypatch):
+    # Catches a reception run inside its transmit completion while an event is
+    # already due at or before that instant, an event that runs ahead of one
+    # scheduled earlier for its instant (also after an event inside the 1e-9 s
+    # past slack ran), and an event that reaches the run loop without
+    # Simulation.schedule, where the benchmark counts events.
     log = []  # ("s" | "d", time, kind, payload) per schedule call and dispatch
     schedule = Simulation.schedule
 
@@ -82,6 +82,17 @@ def test_same_instant_lane_keeps_single_heap_order(monkeypatch):
         schedule(sim, time, kind, payload)
 
     monkeypatch.setattr(Simulation, "schedule", counting_schedule)
+    completing = []  # non-empty while a transmit completion runs
+    due_first = []  # per in-place reception: was a heap event due at or before now?
+    deliver = Simulation._on_packet_delivery
+
+    def checked_delivery(sim, packet):
+        if completing:
+            heap = sim._heap
+            due_first.append(bool(heap) and heap[0][0] <= sim.now)
+        deliver(sim, packet)
+
+    monkeypatch.setattr(Simulation, "_on_packet_delivery", checked_delivery)
     labels = []
     children = {
         "A1": ((0.0, "B1"), (0.0, "B2")),  # same instant: behind A2 and A3
@@ -97,7 +108,14 @@ def test_same_instant_lane_keeps_single_heap_order(monkeypatch):
     def logged(kind, handler):
         def dispatch(sim, *payload):
             log.append(("d", sim.now, kind, payload))
-            handler(sim, *payload)
+            if kind is EventKind.TRANSMIT_COMPLETE:
+                completing.append(True)
+                try:
+                    handler(sim, *payload)
+                finally:
+                    completing.pop()
+            else:
+                handler(sim, *payload)
 
         return dispatch
 
@@ -115,6 +133,9 @@ def test_same_instant_lane_keeps_single_heap_order(monkeypatch):
 
     assert report.rreq_sent > 0 and report.rrep_sent > 0  # unicasts ran too
     assert labels == ["A1", "A2", "D", "E", "A3", "B1", "B2", "C"]
+    # Both reception paths ran, and no in-place one jumped a due event.
+    assert len(due_first) > 500 and not any(due_first)
+    assert any(what == "d" and kind is EventKind.PACKET_DELIVERY for what, _, kind, _ in log)
     # Replay the log through one heap: every dispatch must be the earliest
     # pending event by (time, order of scheduling).
     heap, seq = [], 0
@@ -127,7 +148,7 @@ def test_same_instant_lane_keeps_single_heap_order(monkeypatch):
             assert (time, kind, payload) == (expected_time, expected_kind, expected_payload)
     dispatched = sum(what == "d" for what, *_ in log)
     assert dispatched > 1000
-    assert len(heap) == len(sim._heap) + len(sim._lane) == seq - dispatched
+    assert len(heap) == len(sim._heap) == seq - dispatched
 
 
 def test_packet_conservation_over_mobile_run():
@@ -261,6 +282,7 @@ def _hello_only_static_sim(**overrides) -> Simulation:
 def test_fan_out_rejects_a_node_whose_leg_has_ended():
     # Catches a range scan that reads a position without the leg check.
     sim = _hello_only_static_sim()
+    sim._heap.clear()  # no event due first: the hello is received in place
     sim.now = 2.0
     stale = sim.nodes[3]
     x, y = stale.leg.destination
@@ -274,6 +296,7 @@ def test_fan_out_rejects_a_sender_whose_leg_has_ended():
     # The range scan reads the sender's position before the loop over the
     # other nodes; catches a scan that skips the leg check on that read.
     sim = _hello_only_static_sim()
+    sim._heap.clear()  # no event due first: the hello is received in place
     sim.now = 2.0
     sender = sim.nodes[0]
     x, y = sender.leg.destination
@@ -359,16 +382,28 @@ def test_every_election_step_leaves_a_settled_state_over_a_desk_run(monkeypatch,
     assert checks["on_hello_received"] > 5_000
 
 
-def test_hello_reaches_a_node_exactly_at_range():
+def test_hello_reaches_a_node_exactly_at_range(monkeypatch):
     # The range disc is closed: a node exactly tx_range away hears the hello,
     # one a centimetre beyond does not.
     cfg = static_cfg(
         node_count=3, area_width=600.0, area_height=100.0, tx_range=250.0, flow_count=1
     )
     sim = Simulation(cfg, placement=[(0.0, 50.0), (250.0, 50.0), (500.01, 50.0)])
-    range_sq = cfg.tx_range * cfg.tx_range
-    assert sim._hello_receivers(0, range_sq) == [(1, 250.0)]
-    assert sim._hello_receivers(2, range_sq) == []
+    distances = []
+    gain = cbrsim.engine.channel_gain
+
+    def recording_gain(channel, distance, rng):
+        distances.append(distance)
+        return gain(channel, distance, rng)
+
+    monkeypatch.setattr(cbrsim.engine, "channel_gain", recording_gain)
+    tables = [n.cluster.neighbors for n in sim.nodes]
+    sim._deliver_hello(build_hello(sim.nodes[0].cluster))
+    assert distances == [250.0]
+    assert 0 in tables[1] and 0 not in tables[2]
+    sim._deliver_hello(build_hello(sim.nodes[2].cluster))
+    assert distances == [250.0]
+    assert all(2 not in table for table in tables)
 
 
 def test_traced_fan_out_keeps_one_receive_row_per_receiver():

@@ -109,7 +109,7 @@ def test_route_spy_records_a_route_reply_reaching_its_source():
     source.router.discoveries[1] = 1
     routes = route_spy(sim)
     reply = RouteReplyPacket(route=(0, 2, 1), next_hop=0, size_bytes=control_size_bytes(3))
-    sim._on_packet_delivery(0, reply, 2)
+    sim._on_packet_delivery(reply)
     assert routes == [(0.0, 0, 1, (0, 2, 1))]
     assert source.router.cache[1] == (0, 2, 1)
     assert 1 not in source.router.discoveries
