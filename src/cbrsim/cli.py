@@ -72,6 +72,12 @@ class ExperimentPlan:
     protocols: tuple[Protocol, ...]
     seeds: tuple[int, ...]
 
+    def __post_init__(self):
+        # Build every cell's config up front, so a bad sweep value fails
+        # before any run writes a row.
+        for cell in self.cells():
+            self.config_for(*cell)
+
     def cells(self):
         axis_values = self.values if self.axis is not SweepAxis.NONE else (None,)
         for value in axis_values:

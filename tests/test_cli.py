@@ -194,13 +194,19 @@ def test_cli_unknown_sweep_axis_exits_2(fast_cfg_file, tmp_path):
     ]) == 2
 
 
-def test_cli_repeated_sweep_value_exits_2(fast_cfg_file, tmp_path, capsys):
-    # One cell run twice would read as two replicates with zero spread.
+@pytest.mark.parametrize(
+    "values, message",
+    [("5,5.0", "distinct values, got '5,5.0'"), ("5,inf", "max_speed is finite")],
+    ids=["repeat", "inf"],
+)
+def test_cli_repeated_sweep_value_exits_2(fast_cfg_file, tmp_path, capsys, values, message):
+    # One cell run twice would read as two replicates with zero spread; a bad
+    # value in a later cell must fail before the earlier cells run.
     out = tmp_path / "o"
     assert main([
-        "--config", str(fast_cfg_file), "--sweep", "speed=5,5.0", "--out", str(out),
+        "--config", str(fast_cfg_file), "--sweep", f"speed={values}", "--out", str(out),
     ]) == 2
-    assert "distinct values, got '5,5.0'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (out / "runs.csv").exists()
 
 
