@@ -59,6 +59,7 @@ def test_json_holds_each_workloads_summary(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "export", lambda repo, rev, dest: dest.mkdir(parents=True))
     monkeypatch.setattr(bench_pairs, "src_totals", lambda tree: {"total": len(tree.name)})
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "traced_counts", lambda tree, workload, held_out: ({}, True))
     out = tmp_path / "bench.json"
     args = ["--workload", "good", "bad", "--pairs", "4", "--json", str(out)]
     assert bench_pairs.main(args) == 1  # a run of "bad" was not correct
@@ -74,3 +75,29 @@ def test_json_holds_each_workloads_summary(tmp_path, monkeypatch):
     assert (base["q1"], base["median"], base["iqr"]) == pytest.approx((2.0175, 2.025, 0.015))
     assert wall["change"]["median"] == pytest.approx(1.025)
     assert wall["wins"] == 4 and wall["claim_met"] is True
+
+
+def test_json_lists_the_traced_counts_that_differ(tmp_path, monkeypatch):
+    def fake_run(tree, workload, seed, held_out, trace=0):
+        change = tree.name == "change"
+        metrics = {m: {"value": 1.0, "unit": "s"} for m in bench_pairs.METRICS}
+        if trace:
+            assert seed == 1
+            metrics = {
+                "engine.events": {"value": 95 if change else 142, "unit": "count"},
+                "queue.drops": {"value": 7, "unit": "count"},
+                "queue.accept_ratio": {"value": 0.5, "unit": "ratio"},
+                "engine.self_s": {"value": 1.0 if change else 2.0, "unit": "s"},
+            }
+        return {"correct": not (trace and change), "failed": 0, "metrics": metrics}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda repo, rev, dest: dest.mkdir(parents=True))
+    monkeypatch.setattr(bench_pairs, "src_totals", lambda tree: {})
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    out = tmp_path / "bench.json"
+    # The traced run of the change was not correct.
+    assert bench_pairs.main(["--workload", "w", "--pairs", "2", "--json", str(out)]) == 1
+    traced = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w"]["traced"]
+    assert traced["base"] == {"engine.events": 142, "queue.drops": 7, "queue.accept_ratio": 0.5}
+    assert traced["change"]["engine.events"] == 95
+    assert traced["differ"] == ["engine.events"]  # timings are left out

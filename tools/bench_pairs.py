@@ -20,7 +20,10 @@ the base's interquartile range.  It exits 1 when a run fails or reports
 
 ``--json PATH`` also writes the summary as JSON: per workload and metric,
 each side's runs, median, quartiles and IQR, the change's wins and ``claim_met``;
-and per side the ``tools/src_lines.py`` totals.  ``--tier1`` adds one timed
+and per side the ``tools/src_lines.py`` totals.  With ``--json``, each
+workload also gets one ``perfbench/run.py --seed 1 --trace 1`` run per side:
+its count and ratio metrics, which do not vary between runs of one revision,
+and the names whose values differ between the sides.  ``--tier1`` adds one timed
 Tier-1 run per side (``python -m pytest -q`` with ``PYTHONPATH=src``), after
 the pairs, with the last line pytest printed.  Stdlib only.
 """
@@ -41,6 +44,8 @@ import time
 from pathlib import Path
 
 METRICS = ("wall_s", "cpu_s", "peak_rss_mb", "setup_s")
+# Units of the traced metrics that count events or calls, or divide counts.
+COUNT_UNITS = ("count", "ratio", "packets", "copies/discovery")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
@@ -57,11 +62,11 @@ def export(repo: Path, rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def run_once(tree: Path, workload: str, seed: int, held_out: bool) -> dict:
+def run_once(tree: Path, workload: str, seed: int, held_out: bool, trace: int = 0) -> dict:
     """One perfbench run; its last stdout line parsed as JSON."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--trace", "0",
+        "--seed", str(seed), "--trace", str(trace),
     ]
     if held_out:
         cmd.append("--held-out")
@@ -71,6 +76,14 @@ def run_once(tree: Path, workload: str, seed: int, held_out: bool) -> dict:
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"perfbench failed in {tree} (exit {proc.returncode})")
     return json.loads(lines[-1])
+
+
+def traced_counts(tree: Path, workload: str, held_out: bool) -> tuple[dict, bool]:
+    """The count and ratio metrics of one traced perfbench run (seed 1), and
+    whether it was correct with none failed."""
+    out = run_once(tree, workload, 1, held_out, trace=1)
+    counts = {n: m["value"] for n, m in out["metrics"].items() if m["unit"] in COUNT_UNITS}
+    return counts, out["correct"] and out["failed"] == 0
 
 
 def summarize(base: list[float], change: list[float]) -> dict:
@@ -176,6 +189,16 @@ def main(argv: list[str] | None = None) -> int:
             ok = ok and correct
             summary = workload_summary(results)
             report["workloads"][workload] = {"all_correct": correct, "metrics": summary}
+            if args.json:
+                traced = {}
+                for side, tree in sides.items():
+                    traced[side], side_ok = traced_counts(tree, workload, args.held_out)
+                    ok = ok and side_ok
+                base, change = traced["base"], traced["change"]
+                traced["differ"] = sorted(
+                    n for n in base.keys() | change.keys() if base.get(n) != change.get(n)
+                )
+                report["workloads"][workload]["traced"] = traced
             print(f"\n{workload}, {pool} pool, {args.pairs} pairs, {args.base} -> {args.change}")
             for m, st in summary.items():
                 b, c = st["base"], st["change"]
@@ -186,6 +209,8 @@ def main(argv: list[str] | None = None) -> int:
                     f"  change won {st['wins']}/{args.pairs}  base IQR {b['iqr']:.3f}"
                     f"  claim met {st['claim_met']}"
                 )
+            if args.json:
+                print(f"traced counts that differ: {', '.join(traced['differ']) or 'none'}")
             print(f"all runs correct with 0 failed: {correct}\n", flush=True)
         if args.tier1:
             report["tier1"] = {side: run_tier1(tree) for side, tree in sides.items()}
