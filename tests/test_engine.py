@@ -82,12 +82,12 @@ def test_in_place_reception_keeps_single_heap_order(monkeypatch):
         schedule(sim, time, kind, payload)
 
     monkeypatch.setattr(Simulation, "schedule", counting_schedule)
-    completing = []  # non-empty while a transmit completion runs
+    dispatching = [None]  # kind of the event the run loop dispatched last
     due_first = []  # per in-place reception: was a heap event due at or before now?
     deliver = Simulation._on_packet_delivery
 
     def checked_delivery(sim, packet):
-        if completing:
+        if dispatching[0] is EventKind.TRANSMIT_COMPLETE:
             heap = sim._heap
             due_first.append(bool(heap) and heap[0][0] <= sim.now)
         deliver(sim, packet)
@@ -108,14 +108,8 @@ def test_in_place_reception_keeps_single_heap_order(monkeypatch):
     def logged(kind, handler):
         def dispatch(sim, *payload):
             log.append(("d", sim.now, kind, payload))
-            if kind is EventKind.TRANSMIT_COMPLETE:
-                completing.append(True)
-                try:
-                    handler(sim, *payload)
-                finally:
-                    completing.pop()
-            else:
-                handler(sim, *payload)
+            dispatching[0] = kind
+            handler(sim, *payload)
 
         return dispatch
 
