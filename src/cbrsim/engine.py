@@ -346,7 +346,7 @@ class Simulation:
         if self.trace_enabled:
             self.event_trace.append((self.now, recipient, "receive", type(packet).__name__))
         if isinstance(packet, RouteRequestPacket):
-            result = routing.process_rreq(node.router, node.cluster, packet)
+            result = routing.process_rreq(node.cluster, packet)
             if result.reply is not None:
                 self._enqueue_packet(node, result.reply)
             for copy in result.forwards:

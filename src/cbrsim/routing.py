@@ -9,6 +9,13 @@ also walk member to member across cluster borders.  Whoever holds the target
 as a bidirectional neighbor (or is the target) returns a reply along the
 reversed recorded route.  Data packets then carry the full hop list.
 
+Each node handles a flood at most once.  The duplicate filter lives on the
+flood, not on the node: ``originate_rreq`` creates one ``seen`` set holding
+the origin, every copy of that origination shares it, and ``process_rreq``
+drops a copy whose receiver is already in it.  Node state therefore holds
+nothing per request, and a filter is freed with its flood's last queued or
+scheduled copy, so long runs need no aging rule to bound memory.
+
 There are no route-error packets: a broken source route is detected at the
 failing hop, the source's cache entry is invalidated, and the next packet for
 that destination starts a fresh discovery governed by the retry policy.
@@ -28,8 +35,6 @@ RREQ_RREP_BASE_BYTES = 24
 RREQ_RREP_HOP_BYTES = 4
 PENDING_LIMIT = 10  # data packets buffered per destination awaiting a route
 
-RequestId = tuple[int, int]
-
 _BIDIR_MEMBER = (True, MEMBER)  # a hello table value: bidirectional link, member role
 
 
@@ -39,12 +44,11 @@ def control_size_bytes(route_len: int) -> int:
 
 @dataclass(slots=True)
 class RouteRequestPacket:
-    request_id: RequestId
-    origin: int
     target: int
     recorded_route: tuple[int, ...]
     next_hop: int
     size_bytes: int
+    seen: set[int]  # ids that handled this flood, shared by all its copies
 
     control = True
 
@@ -62,10 +66,8 @@ class RouteReplyPacket:
 class RouterState:
     cache: dict[int, tuple[int, ...]] = field(default_factory=dict)  # destination -> route
     pending: dict[int, deque[DataPacket]] = field(default_factory=dict)
-    seen_requests: set[RequestId] = field(default_factory=set)
     # destination -> originations performed so far (first try included)
     discoveries: dict[int, int] = field(default_factory=dict)
-    request_counter: int = 0
 
 
 @dataclass(frozen=True)
@@ -144,8 +146,7 @@ def _make_copies(
 ) -> list[RouteRequestPacket]:
     size = control_size_bytes(len(route))
     return [
-        RouteRequestPacket(rreq.request_id, rreq.origin, rreq.target, route, t, size)
-        for t in targets
+        RouteRequestPacket(rreq.target, route, t, size, rreq.seen) for t in targets
     ]
 
 
@@ -176,16 +177,12 @@ def originate_rreq(
     if route is not None:
         router.cache[target] = route
         return OriginateResult(installed=route, packets=[])
-    router.request_counter += 1
-    request_id = (node_id, router.request_counter)
-    router.seen_requests.add(request_id)
     base = RouteRequestPacket(
-        request_id=request_id,
-        origin=node_id,
         target=target,
         recorded_route=(node_id,),
         next_hop=node_id,
         size_bytes=control_size_bytes(1),
+        seen={node_id},
     )
     if cluster.role is CLUSTER_HEAD:
         # The source is its own head: no unicast hop, fan out directly.
@@ -198,15 +195,13 @@ def originate_rreq(
     return OriginateResult(None, [])
 
 
-def process_rreq(
-    router: RouterState, cluster: NodeClusterState, rreq: RouteRequestPacket
-) -> RreqResult:
+def process_rreq(cluster: NodeClusterState, rreq: RouteRequestPacket) -> RreqResult:
     """Handle one received route request: deduplicate, record the hop, answer
     if the target is known, otherwise relay per the node's role."""
-    if rreq.request_id in router.seen_requests:
-        return _DROPPED
-    router.seen_requests.add(rreq.request_id)
     node_id = cluster.node_id
+    if node_id in rreq.seen:
+        return _DROPPED
+    rreq.seen.add(node_id)
     if node_id in rreq.recorded_route:
         return _DROPPED
     route = rreq.recorded_route + (node_id,)

@@ -20,7 +20,7 @@ from cbrsim.clustering import (
     table_snapshot,
 )
 from cbrsim.config import Protocol
-from cbrsim.routing import RouterState, RouteRequestPacket, control_size_bytes, process_rreq
+from cbrsim.routing import RouteRequestPacket, control_size_bytes, process_rreq
 from conftest import add_neighbor, assert_election_settled, make_state, set_neighbor_role
 
 AFTER_WARMUP = 100.0
@@ -400,14 +400,13 @@ def test_gateway_set_member_bridging_two_clusters():
     )
     add_neighbor(head, 2, role=Role.MEMBER, advertised_neighbors={1: (True, Role.CLUSTER_HEAD)})
     request = RouteRequestPacket(
-        request_id=(9, 1),
-        origin=9,
         target=42,
         recorded_route=(9,),
         next_hop=1,
         size_bytes=control_size_bytes(1),
+        seen={9},
     )
-    result = process_rreq(RouterState(), head, request)
+    result = process_rreq(head, request)
     assert [p.next_hop for p in result.forwards] == [4]
 
 

@@ -310,8 +310,8 @@ def test_unicast_rejects_a_sender_or_next_hop_whose_leg_has_ended(stale_id):
     x, y = stale.leg.destination
     stale.leg = WaypointLeg((x, y), (x, y), 1.0, 0.0, 0.5, 1.0)
     sim.nodes[0].queue.transmitting = RouteRequestPacket(
-        request_id=(0, 1), origin=0, target=4, recorded_route=(0,), next_hop=3,
-        size_bytes=control_size_bytes(1),
+        target=4, recorded_route=(0,), next_hop=3, size_bytes=control_size_bytes(1),
+        seen={0},
     )
     with pytest.raises(InvariantError, match=r"t=2\.0 outside leg span \[0\.0, 1\.0\]"):
         sim._on_transmit_complete(0)

@@ -1,9 +1,12 @@
 """Engine-level routing behavior: forwarding failures, retry policy, drops."""
 
+from collections.abc import Sized
+from dataclasses import fields
+
 from cbrsim.engine import Simulation
 from cbrsim.routing import RouteReplyPacket, control_size_bytes
 from cbrsim.traffic import Flow
-from conftest import add_neighbor, route_spy, static_cfg
+from conftest import add_neighbor, make_cfg, route_spy, static_cfg
 
 
 def two_island_cfg(**overrides):
@@ -113,3 +116,18 @@ def test_route_spy_records_a_route_reply_reaching_its_source():
     assert routes == [(0.0, 0, 1, (0, 2, 1))]
     assert source.router.cache[1] == (0, 2, 1)
     assert 1 not in source.router.discoveries
+
+
+def test_router_state_stays_bounded_by_node_count():
+    # Catches per-request state kept on a node (a table of seen request ids
+    # grows with every flood that passes through): each container a node's
+    # router holds must stay bounded by the network, not by the run.
+    cfg = make_cfg(node_count=30, area_width=700.0, area_height=700.0, flow_count=10)
+    sim = Simulation(cfg)
+    report = sim.run()
+    assert report.rreq_sent > 10 * cfg.node_count
+    for node in sim.nodes:
+        for f in fields(node.router):
+            value = getattr(node.router, f.name)
+            if isinstance(value, Sized):
+                assert len(value) < cfg.node_count, (node.node_id, f.name, len(value))

@@ -38,14 +38,14 @@ def member_state(node_id, head_id, **kw):
     return state
 
 
-def rreq(request_id, origin, target, route, next_hop=0):
+def rreq(target, route, next_hop=0, seen=None):
+    """A copy of one flood; by default every hop on ``route`` has handled it."""
     return RouteRequestPacket(
-        request_id=request_id,
-        origin=origin,
         target=target,
         recorded_route=route,
         next_hop=next_hop,
         size_bytes=control_size_bytes(len(route)),
+        seen=set(route) if seen is None else seen,
     )
 
 
@@ -60,7 +60,7 @@ def test_member_unicasts_one_copy_per_head():
     result = originate_rreq(router, state, target=9)
     assert result.installed is None
     assert [p.next_hop for p in result.packets] == [1, 2]
-    assert len({p.request_id for p in result.packets}) == 1
+    assert result.packets[0].seen is result.packets[1].seen == {4}
     assert all(p.recorded_route == (4,) for p in result.packets)
 
 
@@ -101,25 +101,50 @@ def test_head_source_processes_locally_without_unicast_hop():
 
 def test_duplicate_request_dropped():
     state = member_state(2, 1)
-    router = RouterState()
-    packet = rreq((9, 1), 9, 5, (9,))
-    first = process_rreq(router, state, packet)
-    second = process_rreq(router, state, packet)
+    packet = rreq(5, (9,))
+    first = process_rreq(state, packet)
+    second = process_rreq(state, packet)
     assert second.reply is None and second.forwards == ()
+
+
+def test_flood_reaching_a_node_twice_is_dropped_but_a_new_flood_is_not():
+    # Source 4 is a member of heads 1 and 2; both heads relay through member 3,
+    # which hears foreign head 6.
+    source = make_state(4, role=Role.MEMBER, head_ids={1, 2})
+    heads = []
+    for hid in (1, 2):
+        add_neighbor(source, hid, role=Role.CLUSTER_HEAD)
+        head = make_state(hid, role=Role.CLUSTER_HEAD, head_ids={hid})
+        add_neighbor(
+            head, 3, role=Role.MEMBER,
+            advertised_neighbors={hid: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
+        )
+        heads.append(head)
+    relay = member_state(3, 1)
+    add_neighbor(relay, 6, role=Role.CLUSTER_HEAD)
+
+    def via_heads(copies):
+        return [process_rreq(head, copy).forwards[0] for head, copy in zip(heads, copies)]
+
+    first, second = via_heads(originate_rreq(RouterState(), source, target=42).packets)
+    assert (first.recorded_route, second.recorded_route) == ((4, 1), (4, 2))
+    assert [p.next_hop for p in process_rreq(relay, first).forwards] == [6]
+    dropped = process_rreq(relay, second)
+    assert dropped.reply is None and dropped.forwards == ()
+    fresh, _ = via_heads(originate_rreq(RouterState(), source, target=42).packets)
+    assert [p.next_hop for p in process_rreq(relay, fresh).forwards] == [6]
 
 
 def test_request_revisiting_node_dropped():
     state = member_state(2, 1)
-    router = RouterState()
-    packet = rreq((9, 1), 9, 5, (9, 2, 7))
-    result = process_rreq(router, state, packet)
+    packet = rreq(5, (9, 2, 7), seen={9})  # only the origin: reach the loop guard
+    result = process_rreq(state, packet)
     assert result.reply is None and result.forwards == ()
 
 
 def test_target_replies_with_completed_route():
     state = member_state(5, 1)
-    router = RouterState()
-    result = process_rreq(router, state, rreq((9, 1), 9, 5, (9, 1)))
+    result = process_rreq(state, rreq(5, (9, 1)))
     assert result.forwards == []
     assert result.reply is not None
     assert result.reply.route == (9, 1, 5)
@@ -129,8 +154,7 @@ def test_target_replies_with_completed_route():
 def test_node_with_target_as_bidirectional_neighbor_replies():
     head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
     add_neighbor(head, 5, role=Role.MEMBER)
-    router = RouterState()
-    result = process_rreq(router, head, rreq((9, 1), 9, 5, (9,)))
+    result = process_rreq(head, rreq(5, (9,)))
     assert result.reply.route == (9, 1, 5)
 
 
@@ -142,8 +166,7 @@ def test_head_forwards_one_copy_per_neighboring_cluster():
             head, mid, role=Role.MEMBER,
             advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
         )
-    router = RouterState()
-    result = process_rreq(router, head, rreq((9, 1), 9, 42, (9,)))
+    result = process_rreq(head, rreq(42, (9,)))
     assert [p.next_hop for p in result.forwards] == [3]
     assert result.forwards[0].recorded_route == (9, 1)
 
@@ -172,8 +195,7 @@ def test_head_copies_only_toward_other_clusters(neighbors, copies):
     head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
     for nid, (role, table) in neighbors.items():
         add_neighbor(head, nid, role=role, advertised_neighbors=table)
-    router = RouterState()
-    result = process_rreq(router, head, rreq((9, 6), 9, 42, (9,)))
+    result = process_rreq(head, rreq(42, (9,)))
     assert [p.next_hop for p in result.forwards] == copies
 
 
@@ -183,8 +205,7 @@ def test_head_skips_clusters_already_on_route():
         head, 3, role=Role.MEMBER,
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
     )
-    router = RouterState()
-    result = process_rreq(router, head, rreq((9, 2), 9, 42, (9, 6)))
+    result = process_rreq(head, rreq(42, (9, 6)))
     assert result.forwards == []
 
 
@@ -195,8 +216,7 @@ def test_border_member_relays_toward_foreign_cluster():
         head, 3, role=Role.MEMBER,
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 7: (True, Role.MEMBER)},
     )
-    router = RouterState()
-    result = process_rreq(router, head, rreq((9, 3), 9, 42, (9,)))
+    result = process_rreq(head, rreq(42, (9,)))
     assert [p.next_hop for p in result.forwards] == [3]
 
 
@@ -211,23 +231,20 @@ def test_member_relays_to_heads_and_foreign_members_only():
         state, 7, role=Role.MEMBER,
         advertised_neighbors={8: (True, Role.CLUSTER_HEAD)},
     )  # member of a foreign cluster
-    router = RouterState()
-    result = process_rreq(router, state, rreq((9, 4), 9, 42, (9, 1)))
+    result = process_rreq(state, rreq(42, (9, 1)))
     assert [p.next_hop for p in result.forwards] == [6, 7]
 
 
 def test_undecided_node_drops_requests():
     state = make_state(4)
     add_neighbor(state, 6, role=Role.CLUSTER_HEAD, bidirectional=False)
-    router = RouterState()
-    result = process_rreq(router, state, rreq((9, 5), 9, 42, (9,)))
+    result = process_rreq(state, rreq(42, (9,)))
     assert result.reply is None and result.forwards == []
 
 
 def test_recorded_route_never_repeats_ids():
     state = member_state(2, 1)
-    router = RouterState()
-    result = process_rreq(router, state, rreq((9, 9), 9, 42, (9, 1)))
+    result = process_rreq(state, rreq(42, (9, 1)))
     for copy in result.forwards:
         assert len(set(copy.recorded_route)) == len(copy.recorded_route)
 
@@ -337,7 +354,7 @@ def test_reply_forwarded_hop_by_hop_then_installed():
     route = (9, 1, 5)
     mid = member_state(1, 9)
     router_mid = RouterState()
-    reply = process_rreq(RouterState(), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1))).reply
+    reply = process_rreq(member_state(5, 1), rreq(5, (9, 1))).reply
     pkt = process_rrep(router_mid, mid, reply)
     assert pkt.next_hop == 9 and pkt.route == route
     src_router = RouterState()
@@ -349,7 +366,7 @@ def test_reply_forwarded_hop_by_hop_then_installed():
 def test_reply_at_node_off_route_is_hard_error():
     router = RouterState()
     state = member_state(3, 1)
-    reply = process_rreq(RouterState(), member_state(5, 1), rreq((9, 1), 9, 5, (9, 1))).reply
+    reply = process_rreq(member_state(5, 1), rreq(5, (9, 1))).reply
     with pytest.raises(InvariantError):
         process_rrep(router, state, reply)
 
@@ -360,7 +377,7 @@ def test_newest_route_wins_cache():
     add_neighbor(state, 5, role=Role.MEMBER)
     originate_rreq(router, state, 5)
     assert router.cache[5] == (9, 5)
-    reply = process_rreq(RouterState(), member_state(5, 1), rreq((9, 7), 9, 5, (9, 1))).reply
+    reply = process_rreq(member_state(5, 1), rreq(5, (9, 1))).reply
     process_rrep(router, state, reply)
     assert router.cache[5] == (9, 1, 5)
 
