@@ -170,12 +170,16 @@ def run_sweep(
 
 
 def read_runs_csv(path: str | Path) -> list[RunReport]:
+    """Parse runs.csv; a bad header, column count or value is a ConfigError
+    naming the path and line, so a truncated file cannot be resumed."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_COLUMNS:
+        if next(reader, None) != CSV_COLUMNS:
             raise ConfigError(f"unexpected runs.csv header in {path}")
-        return [report_from_row(row) for row in reader]
+        try:
+            return [report_from_row(row) for row in reader]
+        except ValueError as exc:
+            raise ConfigError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def group_cells(reports: list[RunReport], axis: SweepAxis) -> dict[tuple, list[RunReport]]:

@@ -187,21 +187,13 @@ _FIELD_PARSERS = {
     f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in fields(ScenarioConfig)
 }
 
-# Aliases let older key spellings keep working.
-_KEY_ALIASES = {
-    "hello_interval_BI": "hello_interval",
-    "neighbor_timeout_TP": "neighbor_timeout",
-    "path_loss_exponent_n": "path_loss_exponent",
-}
-
 
 def parse_setting(key: str, value: str, where: str) -> dict:
     """Parse one ``key=value`` setting into the config fields it sets.
 
-    Accepts the key aliases and ``area=WxH``.  ``where`` names the setting's
-    origin (``line 3``, ``--max_speed``) and prefixes every error message.
+    Accepts ``area=WxH``.  ``where`` names the setting's origin (``line 3``,
+    ``--max_speed``) and prefixes every error message.
     """
-    key = _KEY_ALIASES.get(key, key)
     if key == "area":
         w_text, _, h_text = value.lower().partition("x")
         try:
@@ -222,10 +214,12 @@ def parse_setting(key: str, value: str, where: str) -> dict:
 def parse_config(text: str) -> ScenarioConfig:
     """Parse scenario-file contents into a validated :class:`ScenarioConfig`.
 
-    Raises :class:`ConfigError` with a line number on syntax errors, or with
-    the violated constraint's name on invariant violations.
+    Raises :class:`ConfigError` with a line number on syntax errors, with
+    both line numbers when two lines set one field (``area`` sets two), or
+    with the violated constraint's name on invariant violations.
     """
     values: dict = {}
+    set_on: dict[str, int] = {}  # field -> line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -233,7 +227,14 @@ def parse_config(text: str) -> ScenarioConfig:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key=value, got {raw.strip()!r}")
         key, _, value = line.partition("=")
-        values.update(parse_setting(key.strip(), value.strip(), f"line {lineno}"))
+        parsed = parse_setting(key.strip(), value.strip(), f"line {lineno}")
+        for name in parsed:
+            if name in set_on:
+                raise ConfigError(
+                    f"line {lineno}: {name} is already set on line {set_on[name]}"
+                )
+            set_on[name] = lineno
+        values.update(parsed)
     return ScenarioConfig(**values)
 
 

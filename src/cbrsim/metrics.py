@@ -113,6 +113,8 @@ def report_to_row(report: RunReport) -> list[str]:
 
 
 def report_from_row(row: list[str]) -> RunReport:
+    if len(row) != len(CSV_COLUMNS):
+        raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}")
     return RunReport(
         **{f.name: _COLUMN_PARSERS[f.type](text) for f, text in zip(fields(RunReport), row)}
     )

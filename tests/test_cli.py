@@ -156,6 +156,38 @@ def test_cli_resume_refuses_another_base_config(fast_cfg_file, tmp_path):
     assert (out / "runs.csv").read_bytes() == first
 
 
+def _with_seed(row, seed):
+    protocol, _, rest = row.split(",", 2)
+    return f"{protocol},{seed},{rest}"
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        pytest.param(lambda row: row[: len(row) // 2], f"expected {len(CSV_COLUMNS)} columns",
+                     id="truncated"),
+        pytest.param(lambda row: row + ",7", f"expected {len(CSV_COLUMNS)} columns, got "
+                     f"{len(CSV_COLUMNS) + 1}", id="too-long"),
+        pytest.param(lambda row: _with_seed(row, "x"), "invalid literal", id="bad-value"),
+    ],
+)
+def test_cli_resume_rejects_a_malformed_last_row(fast_cfg_file, tmp_path, capsys, damage, message):
+    # Catches a resume that crashes on a cut-off row or silently drops the
+    # extra columns of a long one.
+    out = tmp_path / "out"
+    common = ["--config", fast_cfg_file, "--protocol", "cbrp", "--seeds", "2", "--out", out]
+    assert run_cli(common, tmp_path) == 0
+    runs = out / "runs.csv"
+    *head, last = runs.read_text().splitlines()
+    runs.write_text("\n".join([*head, damage(last)]))
+    damaged = runs.read_bytes()
+    capsys.readouterr()
+    assert run_cli([*common, "--resume"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert f"{runs} line 3: {message}" in err
+    assert runs.read_bytes() == damaged
+
+
 def test_cli_flag_overrides_beat_file(fast_cfg_file, tmp_path):
     out = tmp_path / "out"
     main([
@@ -170,6 +202,14 @@ def test_cli_bad_config_exits_2(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("max_speed=0\n")
     assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_repeated_config_key_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("area=500x400\nnode_count=10\narea_width=600\n")
+    assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "line 3: area_width is already set on line 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -56,24 +56,40 @@ def test_parse_syntax_error_reports_line():
 
 
 def test_parse_unknown_key_reports_line():
-    # replications was a knob nothing read; it is gone, not ignored
-    for text in ("definitely_not_a_key=1", "replications=5"):
+    # replications was a knob nothing read; it is gone, not ignored.  The old
+    # spelling hello_interval_BI had an alias that nothing used; it is gone too.
+    for text in ("definitely_not_a_key=1", "replications=5", "hello_interval_BI=1.5"):
         with pytest.raises(ConfigError, match="line 1.*unknown key"):
             parse_config(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        pytest.param(
+            "node_count=10\nnode_count=20", "line 2: node_count is already set on line 1",
+            id="same-key",
+        ),
+        pytest.param(
+            "area=500x400\ntx_range=200\narea_width=600",
+            "line 3: area_width is already set on line 1",
+            id="area-then-width",
+        ),
+        pytest.param(
+            "area_height=300\narea=500x400", "line 2: area_height is already set on line 1",
+            id="height-then-area",
+        ),
+    ],
+)
+def test_parse_repeated_key_names_both_lines(text, message):
+    # Catches a file whose later line silently overrides an earlier one.
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_config(text)
 
 
 def test_parse_bad_value_reports_line():
     with pytest.raises(ConfigError, match="line 1.*bad value"):
         parse_config("node_count=many")
-
-
-def test_key_aliases_accepted():
-    cfg = parse_config(
-        "hello_interval_BI=1.5\nneighbor_timeout_TP=4.5\npath_loss_exponent_n=3"
-    )
-    assert cfg.hello_interval == 1.5
-    assert cfg.neighbor_timeout == 4.5
-    assert cfg.path_loss_exponent == 3.0
 
 
 def test_protocol_spellings():
