@@ -73,6 +73,14 @@ class ExperimentPlan:
     seeds: tuple[int, ...]
 
     def __post_init__(self):
+        # A repeated value, protocol or seed would run one cell twice and
+        # count it as two replicates with zero spread.
+        lists = {"protocols": self.protocols, "seeds": self.seeds}
+        if self.axis is not SweepAxis.NONE:
+            lists["values"] = self.values
+        for name, items in lists.items():
+            if not items or len(set(items)) < len(items):
+                raise ConfigError(f"{name} must be non-empty and distinct, got {items!r}")
         # Build every cell's config up front, so a bad sweep value fails
         # before any run writes a row.
         for cell in self.cells():
@@ -345,7 +353,11 @@ def plan_from_args(args) -> ExperimentPlan:
     for key in (*_FIELD_PARSERS, "area"):
         raw = getattr(args, key)
         if raw is not None and key != "protocol":
-            overrides.update(parse_setting(key, raw, f"--{key}"))
+            parsed = parse_setting(key, raw, f"--{key}")
+            for name in parsed:
+                if name in overrides:  # only --area sets a field another flag sets
+                    raise ConfigError(f"--{key}: {name} is already set by --{name}")
+            overrides.update(parsed)
     if overrides:
         base = base.with_overrides(**overrides)
     if args.protocol == "both":
@@ -355,8 +367,6 @@ def plan_from_args(args) -> ExperimentPlan:
     else:
         protocols = (base.protocol,)
     if args.seeds is not None:
-        if args.seeds < 1:
-            raise ConfigError("--seeds must be >= 1")
         seeds = tuple(range(args.seeds))
     elif args.seed is not None:
         seeds = (args.seed,)
@@ -374,8 +384,6 @@ def plan_from_args(args) -> ExperimentPlan:
             values = tuple(float(v) for v in value_text.split(",") if v.strip())
         except ValueError:
             raise ConfigError(f"bad sweep values {value_text!r}") from None
-        if not values or len(set(values)) < len(values):
-            raise ConfigError(f"sweep needs one or more distinct values, got {value_text!r}")
     return ExperimentPlan(base=base, axis=axis, values=values, protocols=protocols, seeds=seeds)
 
 

@@ -26,6 +26,8 @@ bidirectional link, and every receiver's neighbor entry shares both objects.
 The sender keeps that pair (``table_snapshot``) and reuses it for later hellos
 until a link, a role or an entry of its table changes: ``set_link_role``
 (called for a new entry or a changed link or role) and an expiry drop it.
+A table's values are shared too: each is one of the six ``(bidirectional,
+role)`` pairs in ``LINK_ROLES``, so a table holds no tuple of its own.
 
 Most hello receipts change nothing in the table's links and roles: the link
 and role a hello reports match the entry.  Such a receipt writes neither the
@@ -61,6 +63,10 @@ from .errors import InvariantError
 
 
 class Role(Enum):
+    # Identity hash: a table snapshot looks up a shared pair per entry, and
+    # Enum's own __hash__ is a Python-level call.
+    __hash__ = object.__hash__
+
     UNDECIDED = "undecided"
     CLUSTER_HEAD = "head"
     MEMBER = "member"
@@ -71,6 +77,10 @@ class Role(Enum):
 CLUSTER_HEAD = Role.CLUSTER_HEAD
 MEMBER = Role.MEMBER
 UNDECIDED = Role.UNDECIDED
+
+# The six hello-table values, one object each: LINK_ROLES[role][bidirectional]
+# is the pair (bidirectional, role).
+LINK_ROLES = {role: ((False, role), (True, role)) for role in Role}
 
 HELLO_BASE_BYTES = 20
 HELLO_ENTRY_BYTES = 8
@@ -231,9 +241,9 @@ def table_snapshot(state: NodeClusterState) -> tuple[NeighborTable, frozenset[in
     built when stale, otherwise the pair built for an earlier hello."""
     snapshot = state._snapshot
     if snapshot is None:
-        table = MappingProxyType(
-            {nid: (e.bidirectional, e.role) for nid, e in sorted(state.neighbors.items())}
-        )
+        table = MappingProxyType({
+            nid: LINK_ROLES[e.role][e.bidirectional] for nid, e in sorted(state.neighbors.items())
+        })
         snapshot = state._snapshot = (table, advertised_head_ids(table))
     return snapshot
 

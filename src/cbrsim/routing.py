@@ -27,7 +27,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .clustering import CLUSTER_HEAD, MEMBER, NodeClusterState
+from .clustering import CLUSTER_HEAD, LINK_ROLES, MEMBER, NodeClusterState
 from .errors import InvariantError
 from .traffic import DataPacket
 
@@ -35,7 +35,7 @@ RREQ_RREP_BASE_BYTES = 24
 RREQ_RREP_HOP_BYTES = 4
 PENDING_LIMIT = 10  # data packets buffered per destination awaiting a route
 
-_BIDIR_MEMBER = (True, MEMBER)  # a hello table value: bidirectional link, member role
+_BIDIR_MEMBER = LINK_ROLES[MEMBER][True]  # a hello table value: bidirectional member
 
 
 def control_size_bytes(route_len: int) -> int:

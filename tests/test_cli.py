@@ -18,7 +18,7 @@ from cbrsim.cli import (
 )
 import cbrsim.engine
 from cbrsim.config import Protocol, ScenarioConfig, parse_config
-from cbrsim.errors import InvariantError
+from cbrsim.errors import ConfigError, InvariantError
 from cbrsim.metrics import CSV_COLUMNS
 from conftest import child_env
 
@@ -235,8 +235,40 @@ def test_cli_unknown_sweep_axis_exits_2(fast_cfg_file, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [["--area_width", "600", "--area", "500x400"], ["--area", "500x400", "--area_width", "600"]],
+    ids=["width-then-area", "area-then-width"],
+)
+def test_cli_field_set_by_two_flags_exits_2_naming_both(tmp_path, capsys, argv):
+    # argparse keeps no order between flags, so either order must fail the
+    # same way rather than let one flag silently win.
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert "--area: area_width is already set by --area_width" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "field, repeated",
+    [("values", (5.0, 5.0)), ("protocols", (Protocol.CBRP, Protocol.CBRP)), ("seeds", (0, 0))],
+    ids=["values", "protocols", "seeds"],
+)
+def test_plan_rejects_a_repeated_value_protocol_or_seed(field, repeated):
+    # A library caller gets the same check as the CLI: one cell run twice
+    # would be summarized as two replicates.
+    plan = dict(
+        base=ScenarioConfig(), axis=SweepAxis.MAX_SPEED, values=(5.0,),
+        protocols=(Protocol.CBRP,), seeds=(0,),
+    )
+    with pytest.raises(ConfigError, match=rf"{field} must be non-empty and distinct"):
+        ExperimentPlan(**dict(plan, **{field: repeated}))
+    with pytest.raises(ConfigError, match=rf"{field} must be non-empty and distinct"):
+        ExperimentPlan(**dict(plan, **{field: ()}))
+
+
+@pytest.mark.parametrize(
     "values, message",
-    [("5,5.0", "distinct values, got '5,5.0'"), ("5,inf", "max_speed is finite")],
+    [("5,5.0", "values must be non-empty and distinct, got (5.0, 5.0)"),
+     ("5,inf", "max_speed is finite")],
     ids=["repeat", "inf"],
 )
 def test_cli_repeated_sweep_value_exits_2(fast_cfg_file, tmp_path, capsys, values, message):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import cbrsim.clustering
 import cbrsim.engine
-from cbrsim.clustering import build_hello
+from cbrsim.clustering import build_hello, table_snapshot
 from cbrsim.config import Protocol, ScenarioConfig
 from cbrsim.engine import EventKind, Simulation
 from cbrsim.errors import InvariantError
@@ -374,6 +374,27 @@ def test_every_election_step_leaves_a_settled_state_over_a_desk_run(monkeypatch,
     assert report.ch_changes > 0  # clusters formed and moved
     assert checks["expire_neighbors"] == 25 * 60
     assert checks["on_hello_received"] > 5_000
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_hello_tables_share_six_link_role_values_over_a_desk_run(protocol):
+    # Catches a table snapshot that builds a (bidirectional, role) tuple per
+    # entry: only six such values exist, so every live hello table, each
+    # node's own and each one its neighbors advertised, must hold only those.
+    cfg = make_cfg(
+        protocol=protocol, node_count=25, area_width=500.0, area_height=500.0,
+        max_speed=20.0, sim_duration=30.0, hello_interval=1.0, neighbor_timeout=3.0,
+        formation_grace=10.0, flow_count=10, packet_rate=4.0, rng_seed=0,
+    )
+    sim = Simulation(cfg)
+    sim.run()
+    tables = []
+    for node in sim.nodes:
+        tables.append(table_snapshot(node.cluster)[0])
+        tables.extend(e.advertised_neighbors for e in node.cluster.neighbors.values())
+    values = [value for table in tables for value in table.values()]
+    assert len(values) > 10 * cfg.node_count
+    assert len({id(value) for value in values}) <= 6
 
 
 def test_hello_reaches_a_node_exactly_at_range(monkeypatch):
