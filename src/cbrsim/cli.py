@@ -312,6 +312,16 @@ def _write_traces(sim: Simulation, out: Path, cfg: ScenarioConfig) -> None:
             writer.writerows(rows)
 
 
+class _Once(argparse.Action):
+    """Store a flag's value and refuse the flag a second time: each config
+    field is set once, as in a scenario file."""
+
+    def __call__(self, parser, namespace, value, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given twice")
+        setattr(namespace, self.dest, value)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simrun",
@@ -339,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     for key in _FIELD_PARSERS:
         if key == "protocol":
             continue
-        parser.add_argument(f"--{key}", type=str, default=None, help=argparse.SUPPRESS)
-    parser.add_argument("--area", type=str, default=None, help="area as WxH meters")
+        parser.add_argument(f"--{key}", action=_Once, help=argparse.SUPPRESS)
+    parser.add_argument("--area", action=_Once, help="area as WxH meters")
     return parser
 
 

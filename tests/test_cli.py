@@ -247,6 +247,13 @@ def test_cli_field_set_by_two_flags_exits_2_naming_both(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_flag_given_twice_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--node_count", "10", "--node_count", "20", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "argument --node_count: given twice" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, repeated",
     [("values", (5.0, 5.0)), ("protocols", (Protocol.CBRP, Protocol.CBRP)), ("seeds", (0, 0))],
