@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .config import (
     parse_setting,
     serialize_config,
 )
-from .engine import Simulation
+from .engine import TRACE_HEADERS, Simulation
 from .errors import ConfigError, InvariantError
 from .metrics import (
     CSV_COLUMNS,
@@ -37,6 +37,7 @@ from .metrics import (
     report_from_row,
     report_to_row,
 )
+from .traffic import Flow
 
 # Headline improvement figures from the protocols' original evaluation,
 # echoed in report.txt as context only; nothing is gated on them.
@@ -282,39 +283,18 @@ def format_report(result: SweepResult, cells: dict[tuple, list[RunReport]]) -> s
 
 def _write_traces(sim: Simulation, out: Path, cfg: ScenarioConfig) -> None:
     tag = f"{cfg.protocol.value}_seed{cfg.rng_seed}_v{cfg.max_speed:g}_r{cfg.packet_rate:g}"
-    flow_rows = [
-        (f.flow_id, f.src, f.dst, f.rate, f.packet_size, f.start_time)
-        for f in sim.flows
-    ]
-    tables = [
-        (f"events_{tag}.csv", ["time", "node", "event_kind", "detail"], sim.event_trace),
-        (f"mobility_{tag}.csv", ["time", "node_id", "x", "y"], sim.mobility_trace),
-        (
-            f"clusters_{tag}.csv",
-            ["time", "node", "role", "head_id", "M_value"],
-            sim.cluster_trace,
-        ),
-        (
-            f"route_events_{tag}.csv",
-            ["time", "event", "flow_id", "route_len"],
-            sim.route_event_trace,
-        ),
-        (
-            f"flows_{tag}.csv",
-            ["flow_id", "src", "dst", "rate", "packet_size", "start_time"],
-            flow_rows,
-        ),
-    ]
-    for name, header, rows in tables:
-        with open(out / name, "w", newline="") as fh:
+    tables = {stem: (header, sim.trace[stem]) for stem, header in TRACE_HEADERS.items()}
+    tables["flows"] = ([f.name for f in fields(Flow)], map(astuple, sim.flows))
+    for stem, (header, rows) in tables.items():
+        with open(out / f"{stem}_{tag}.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
 
 
 class _Once(argparse.Action):
-    """Store a flag's value and refuse the flag a second time: each config
-    field is set once, as in a scenario file."""
+    """Store a flag's value and refuse the flag a second time, rather than let
+    the repeat override it; a scenario file likewise sets each key once."""
 
     def __call__(self, parser, namespace, value, option_string=None):
         if getattr(namespace, self.dest) is not None:
@@ -327,20 +307,22 @@ def build_parser() -> argparse.ArgumentParser:
         prog="simrun",
         description="Deterministic cluster-routing simulator: single runs and sweeps.",
     )
-    parser.add_argument("--config", help="scenario file (key=value lines)")
+    parser.add_argument("--config", action=_Once, help="scenario file (key=value lines)")
     parser.add_argument(
         "--protocol",
+        action=_Once,
         choices=["cbrp", "cross-cbrp", "both"],
         help="protocol variant to run (default: from config)",
     )
     parser.add_argument(
         "--sweep",
+        action=_Once,
         help="sweep axis and values, e.g. speed=10,20,30 or rate=1,2,4,8",
     )
     seed_group = parser.add_mutually_exclusive_group()
-    seed_group.add_argument("--seeds", type=int, help="run seeds 0..N-1")
-    seed_group.add_argument("--seed", type=int, help="run a single seed")
-    parser.add_argument("--out", default="simout", help="output directory")
+    seed_group.add_argument("--seeds", type=int, action=_Once, help="run seeds 0..N-1")
+    seed_group.add_argument("--seed", type=int, action=_Once, help="run a single seed")
+    parser.add_argument("--out", action=_Once, help="output directory (default: simout)")
     parser.add_argument("--trace", action="store_true", help="export event traces")
     parser.add_argument(
         "--resume", action="store_true", help="skip runs already present in runs.csv"
@@ -398,9 +380,8 @@ def plan_from_args(args) -> ExperimentPlan:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = Path(args.out)
+    args = build_parser().parse_args(argv)
+    out = Path("simout" if args.out is None else args.out)
     try:
         plan = plan_from_args(args)
         run_sweep(plan, out, resume=args.resume, trace=args.trace)

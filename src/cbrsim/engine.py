@@ -98,6 +98,15 @@ _ACCEPTED = QueueOutcome.ACCEPTED
 _DROPPED_INCOMING = QueueOutcome.DROPPED_INCOMING
 _DROPPED_TAIL_DATA = QueueOutcome.DROPPED_TAIL_DATA
 
+# Columns of each trace CSV, by file stem.  A traced run fills ``Simulation.trace``
+# and samples every node's position and role every half hello interval.
+TRACE_HEADERS = {
+    "events": ("time", "node", "event_kind", "detail"),
+    "mobility": ("time", "node_id", "x", "y"),
+    "clusters": ("time", "node", "role", "head_id", "M_value"),
+    "route_events": ("time", "event", "flow_id", "route_len"),
+}
+
 
 class InterfaceQueue:
     """Drop-tail interface queue with control-packet priority.
@@ -160,8 +169,7 @@ class Simulation:
     """One simulation run: engine state, protocol state, and the ledger.
 
     Strictly single-threaded; parallelism belongs across independent
-    runs with distinct seeds.  A traced run also samples every node's
-    position and role every half hello interval.
+    runs with distinct seeds.
     """
 
     def __init__(
@@ -212,11 +220,8 @@ class Simulation:
             flows = generate_flows(cfg, random.Random(f"{seed}:flows"))
         self.flows: list[Flow] = flows
         self._in_flight: dict[int, DataPacket] = {}  # id -> emitted, not yet classified
-        self.trace_enabled = trace
-        self.event_trace: list[tuple[float, int, str, str]] = []
-        self.route_event_trace: list[tuple[float, str, int, int]] = []
-        self.mobility_trace: list[tuple[float, int, float, float]] = []
-        self.cluster_trace: list[tuple[float, int, str, str, float]] = []
+        # Trace rows by file stem (``TRACE_HEADERS``); None turns every hook off.
+        self.trace = {stem: [] for stem in TRACE_HEADERS} if trace else None
         self._schedule_initial_events()
 
     # -- scheduling ---------------------------------------------------------
@@ -240,7 +245,7 @@ class Simulation:
         for idx, flow in enumerate(self.flows):
             if flow.start_time < stop:
                 self.schedule(flow.start_time, _TRAFFIC_EMIT, (idx, 0))
-        if self.trace_enabled:
+        if self.trace is not None:
             self.schedule(0.0, EventKind.TRACE_SAMPLE, ())
 
     # -- run loop -----------------------------------------------------------
@@ -315,16 +320,14 @@ class Simulation:
                 # flow's source forgets the broken route.
                 self._drop_data(packet, FATE_FORWARD_FAIL)
                 self.nodes[packet.src].router.cache.pop(packet.dst, None)
-                if self.trace_enabled:
-                    self.route_event_trace.append(
-                        (self.now, "route_break", packet.flow_id, len(packet.route or ()))
+                if self.trace is not None:
+                    self.trace["route_events"].append(
+                        (now, "route_break", packet.flow_id, len(packet.route or ()))
                     )
         if queue._control or queue._data:
             self._start_transmission(node)
-        if self.trace_enabled:
-            self.event_trace.append(
-                (self.now, node_id, "transmit_complete", type(packet).__name__)
-            )
+        if self.trace is not None:
+            self.trace["events"].append((now, node_id, "transmit_complete", type(packet).__name__))
         if reachable:
             # Receive now unless an event is due first (module docstring).
             heap = self._heap
@@ -343,8 +346,9 @@ class Simulation:
             return
         recipient = packet.next_hop
         node = self.nodes[recipient]
-        if self.trace_enabled:
-            self.event_trace.append((self.now, recipient, "receive", type(packet).__name__))
+        trace = self.trace
+        if trace is not None:
+            trace["events"].append((self.now, recipient, "receive", type(packet).__name__))
         if isinstance(packet, RouteRequestPacket):
             result = routing.process_rreq(node.cluster, packet)
             if result.reply is not None:
@@ -357,16 +361,16 @@ class Simulation:
                 self._enqueue_packet(node, reply)
             else:
                 route = packet.route
-                if self.trace_enabled:
-                    self.route_event_trace.append((self.now, "rrep_recv", route[-1], len(route)))
+                if trace is not None:
+                    trace["route_events"].append((self.now, "rrep_recv", route[-1], len(route)))
                 self._route_installed(node, route[-1])
         else:
             successor = routing.forward_data(node.cluster, packet)
             if successor is None:
                 self._classify(packet)
                 self.ledger.record_delivery(self.now - packet.created_at, packet.size_bytes)
-                if self.trace_enabled:
-                    self.route_event_trace.append(
+                if trace is not None:
+                    trace["route_events"].append(
                         (self.now, "delivery", packet.flow_id, len(packet.route))
                     )
             else:
@@ -380,7 +384,7 @@ class Simulation:
         sender = nodes[hello.sender_id]
         sx, sy = position_at(sender.leg, now)
         range_sq = self._range_sq
-        trace = self.event_trace if self.trace_enabled else None
+        trace = None if self.trace is None else self.trace["events"]
         # Received power at the configured transmit power.  The mobility metric
         # reads only ratios of successive powers, so elections do not depend on
         # its absolute scale.  Placements can put two nodes inside the close-in
@@ -488,8 +492,10 @@ class Simulation:
         node.router.discoveries[destination] = attempts
         for packet in result.packets:
             self._enqueue_packet(node, packet)
-        if self.trace_enabled:
-            self.route_event_trace.append((self.now, "rreq_sent", destination, len(result.packets)))
+        if self.trace is not None:
+            self.trace["route_events"].append(
+                (self.now, "rreq_sent", destination, len(result.packets))
+            )
         self.schedule(
             self.now + self.cfg.rreq_timeout,
             _ROUTE_RETRY_TIMEOUT,
@@ -544,12 +550,10 @@ class Simulation:
         now = self.now
         for node in self.nodes:
             x, y = position_at(node.leg, now)
-            self.mobility_trace.append((now, node.node_id, x, y))
+            self.trace["mobility"].append((now, node.node_id, x, y))
         for node_id, role, heads, mobility in self.cluster_snapshot():
-            self.cluster_trace.append((now, node_id, role, ";".join(map(str, heads)), mobility))
-        next_time = now + self.cfg.hello_interval / 2.0
-        if next_time <= self.cfg.sim_duration:
-            self.schedule(next_time, EventKind.TRACE_SAMPLE, ())
+            self.trace["clusters"].append((now, node_id, role, ";".join(map(str, heads)), mobility))
+        self.schedule(now + self.cfg.hello_interval / 2.0, EventKind.TRACE_SAMPLE, ())
 
     # Event dispatch: each kind's handler, called with the event's payload.
     _HANDLERS = {

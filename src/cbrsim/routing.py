@@ -202,8 +202,6 @@ def process_rreq(cluster: NodeClusterState, rreq: RouteRequestPacket) -> RreqRes
     if node_id in rreq.seen:
         return _DROPPED
     rreq.seen.add(node_id)
-    if node_id in rreq.recorded_route:
-        return _DROPPED
     route = rreq.recorded_route + (node_id,)
     if len(set(route)) != len(route):
         raise InvariantError(f"duplicate id in recorded route {route}")

@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -18,8 +19,10 @@ from cbrsim.cli import (
 )
 import cbrsim.engine
 from cbrsim.config import Protocol, ScenarioConfig, parse_config
+from cbrsim.engine import TRACE_HEADERS
 from cbrsim.errors import ConfigError, InvariantError
 from cbrsim.metrics import CSV_COLUMNS
+from cbrsim.traffic import Flow
 from conftest import child_env
 
 FAST = (
@@ -255,6 +258,25 @@ def test_cli_flag_given_twice_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "flag, first, second",
+    [
+        ("--config", "a.cfg", "b.cfg"),
+        ("--protocol", "cbrp", "cross-cbrp"),
+        ("--sweep", "speed=5", "rate=2"),
+        ("--seeds", "1", "2"),
+        ("--seed", "1", "2"),
+        ("--out", "a", "b"),
+    ],
+)
+def test_cli_run_flag_given_twice_exits_2(flag, first, second, capsys):
+    # The second value used to replace the first without a word.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([flag, first, flag, second])
+    assert exc.value.code == 2
+    assert f"argument {flag}: given twice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "field, repeated",
     [("values", (5.0, 5.0)), ("protocols", (Protocol.CBRP, Protocol.CBRP)), ("seeds", (0, 0))],
     ids=["values", "protocols", "seeds"],
@@ -345,12 +367,21 @@ def test_invariant_breach_exits_3_and_replays_from_its_config(
 def test_cli_trace_writes_trace_files(fast_cfg_file, tmp_path):
     out = tmp_path / "out"
     assert main([
-        "--config", str(fast_cfg_file), "--protocol", "cbrp", "--seed", "2",
+        "--config", str(fast_cfg_file), "--protocol", "both", "--seed", "2",
         "--sim_duration", "10", "--out", str(out), "--trace",
     ]) == 0
-    names = {p.name for p in out.iterdir()}
-    for prefix in ("events_", "mobility_", "clusters_", "route_events_", "flows_"):
-        assert any(n.startswith(prefix) for n in names), prefix
+    headers = {stem: list(header) for stem, header in TRACE_HEADERS.items()}
+    headers["flows"] = [f.name for f in fields(Flow)]
+    sweep_files = {"runs.csv", "summary.csv", "report.txt", "config.txt"}
+    names = {p.name for p in out.iterdir()} - sweep_files
+    for protocol in ("cbrp", "cross-cbrp"):
+        cell = {n for n in names if f"_{protocol}_seed2_" in n}
+        assert len(cell) == 5, cell
+        for stem, header in headers.items():
+            [name] = [n for n in cell if n.startswith(f"{stem}_{protocol}_")]
+            with open(out / name, newline="") as fh:
+                assert next(csv.reader(fh)) == header, name
+    assert len(names) == 10, names
 
 
 def test_entry_point_installed():

@@ -238,10 +238,26 @@ def test_trace_collects_samples():
     cfg = make_cfg(sim_duration=10.0, hello_interval=4.0)
     sim = Simulation(cfg, trace=True)
     sim.run()
-    times = sorted({row[0] for row in sim.mobility_trace})
+    times = sorted({row[0] for row in sim.trace["mobility"]})
     assert times == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
-    assert len(sim.cluster_trace) == len(sim.mobility_trace)
-    assert sim.event_trace
+    assert len(sim.trace["clusters"]) == len(sim.trace["mobility"])
+    assert sim.trace["events"]
+
+
+def test_untraced_run_has_no_trace_and_never_schedules_a_sample():
+    sim = Simulation(make_cfg(sim_duration=10.0, hello_interval=4.0))
+    assert sim.trace is None
+    kinds = [event[2] for event in sim._heap]
+    schedule = sim.schedule
+
+    def recording_schedule(time, kind, payload):
+        kinds.append(kind)
+        schedule(time, kind, payload)
+
+    sim.schedule = recording_schedule
+    sim.run()
+    assert EventKind.HELLO_TIMER in kinds and EventKind.TRANSMIT_COMPLETE in kinds
+    assert EventKind.TRACE_SAMPLE not in kinds
 
 
 def test_static_durable_links_never_expire():
@@ -429,12 +445,12 @@ def test_traced_fan_out_keeps_one_receive_row_per_receiver():
     n = sim.cfg.node_count
     sent = [
         (t, sender)
-        for t, sender, what, kind in sim.event_trace
+        for t, sender, what, kind in sim.trace["events"]
         if what == "transmit_complete" and kind == "HelloMessage"
     ]
     received = [
         (t, node)
-        for t, node, what, kind in sim.event_trace
+        for t, node, what, kind in sim.trace["events"]
         if what == "receive" and kind == "HelloMessage"
     ]
     assert len(sent) == report.hello_sent > 0

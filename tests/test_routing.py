@@ -135,11 +135,13 @@ def test_flood_reaching_a_node_twice_is_dropped_but_a_new_flood_is_not():
     assert [p.next_hop for p in process_rreq(relay, fresh).forwards] == [6]
 
 
-def test_request_revisiting_node_dropped():
+def test_request_revisiting_node_is_an_invariant_breach():
+    # The flood's shared ``seen`` holds every node on a recorded route, so an
+    # engine run cannot build this copy; if one appears, it is a breach.
     state = member_state(2, 1)
-    packet = rreq(5, (9, 2, 7), seen={9})  # only the origin: reach the loop guard
-    result = process_rreq(state, packet)
-    assert result.reply is None and result.forwards == ()
+    packet = rreq(5, (9, 2, 7), seen={9})  # only the origin: node 2 is not yet seen
+    with pytest.raises(InvariantError, match="duplicate id in recorded route"):
+        process_rreq(state, packet)
 
 
 def test_target_replies_with_completed_route():
