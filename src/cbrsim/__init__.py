@@ -18,12 +18,11 @@ from .clustering import aggregate_mobility, relative_mobility
 from .config import Protocol, ScenarioConfig
 from .engine import Simulation
 from .metrics import RunReport
-from .radio import ChannelModel, received_power
+from .radio import received_power
 
 _HARNESS_NAMES = ("ExperimentPlan", "SweepAxis", "run_sweep")
 
 __all__ = [
-    "ChannelModel",
     "ExperimentPlan",
     "Protocol",
     "RunReport",

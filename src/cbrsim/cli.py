@@ -22,7 +22,6 @@ from .config import (
     ScenarioConfig,
     _FIELD_PARSERS,
     parse_config,
-    parse_protocol,
     parse_setting,
     serialize_config,
 )
@@ -132,7 +131,10 @@ def run_sweep(
     deterministic, so that file replays the breach.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
     runs_path = out / "runs.csv"
     config_path = out / "config.txt"
     base_text = serialize_config(plan.base)
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--protocol",
         action=_Once,
-        choices=["cbrp", "cross-cbrp", "both"],
+        choices=[*(p.value for p in Protocol), "both"],
         help="protocol variant to run (default: from config)",
     )
     parser.add_argument(
@@ -338,7 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def plan_from_args(args) -> ExperimentPlan:
     if args.config:
-        base = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+            raise ConfigError(f"cannot read --config {args.config}: {exc}") from None
+        base = parse_config(text)
     else:
         base = ScenarioConfig()
     overrides = {}
@@ -353,9 +359,9 @@ def plan_from_args(args) -> ExperimentPlan:
     if overrides:
         base = base.with_overrides(**overrides)
     if args.protocol == "both":
-        protocols = (Protocol.CBRP, Protocol.CROSS_CBRP)
+        protocols = tuple(Protocol)
     elif args.protocol:
-        protocols = (parse_protocol(args.protocol),)
+        protocols = (Protocol(args.protocol),)
     else:
         protocols = (base.protocol,)
     if args.seeds is not None:

@@ -24,12 +24,11 @@ class Protocol(Enum):
 
 
 def parse_protocol(text: str) -> Protocol:
-    norm = text.strip().lower().replace("_", "-")
-    if norm == "cbrp":
-        return Protocol.CBRP
-    if norm in ("cross-cbrp", "crosscbrp", "cross"):
-        return Protocol.CROSS_CBRP
-    raise ConfigError(f"unknown protocol {text!r} (expected cbrp or cross-cbrp)")
+    try:
+        return Protocol(text.strip())
+    except ValueError:
+        expected = " or ".join(p.value for p in Protocol)
+        raise ConfigError(f"unknown protocol {text!r} (expected {expected})") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -39,6 +38,16 @@ def _parse_bool(text: str) -> bool:
     if norm in ("false", "no", "0", "off"):
         return False
     raise ConfigError(f"not a boolean: {text!r}")
+
+
+# Each field annotation's accepted value types and its parser for text.  An int
+# stands for a float without conversion, so ``max_speed=20`` stays 20.
+_FIELD_TYPES = {
+    "int": ((int,), int),
+    "float": ((int, float), float),
+    "bool": ((bool,), _parse_bool),
+    "Protocol": ((Protocol,), parse_protocol),
+}
 
 
 @dataclass(frozen=True)
@@ -113,20 +122,41 @@ class ScenarioConfig:
         return replace(self, **overrides)
 
 
+# Lower bounds by field; an unset optional field (None) has none.
+_MINIMA = {
+    "node_count": 2, "pause_time": 0, "flow_count": 1, "queue_capacity": 1,
+    "formation_grace": 0, "rreq_max_retries": 0, "traffic_start": 0,
+}
+_POSITIVE_FIELDS = (
+    "area_width", "area_height", "tx_range", "sim_duration", "hello_interval",
+    "neighbor_timeout", "packet_rate", "packet_size", "link_rate", "tx_power",
+    "rreq_timeout",
+)
+
+
 def _validate(cfg: ScenarioConfig) -> None:
     def fail(constraint: str, detail: str) -> None:
         raise ConfigError(f"constraint violated: {constraint} ({detail})")
 
+    # Each value must have its field's type, or "false" would enable a switch;
+    # isinstance counts a bool as an int, so a bool passes only a bool field.
     # NaN compares false against every bound below, and inf passes the
     # positivity checks, so non-finite values are refused up front.
     for f in fields(cfg):
         value = getattr(cfg, f.name)
+        kind = f.type.removesuffix(" | None")
+        types = _FIELD_TYPES[kind][0] + ((type(None),) if kind != f.type else ())
+        if not isinstance(value, types) or isinstance(value, bool) != (bool in types):
+            fail(f"{f.name} is {f.type}", f"{f.name}={value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             fail(f"{f.name} is finite", f"{f.name}={value}")
-    if cfg.node_count < 2:
-        fail("node_count >= 2", f"node_count={cfg.node_count}")
-    if cfg.area_width <= 0 or cfg.area_height <= 0:
-        fail("area dimensions > 0", f"area={cfg.area_width}x{cfg.area_height}")
+    for name, least in _MINIMA.items():
+        value = getattr(cfg, name)
+        if value is not None and value < least:
+            fail(f"{name} >= {least}", f"{name}={value}")
+    for name in _POSITIVE_FIELDS:
+        if getattr(cfg, name) <= 0:
+            fail(f"{name} > 0", f"{name}={getattr(cfg, name)}")
     if cfg.max_speed == 0.0:
         # Static scenario: nodes hold their initial positions.
         if cfg.min_speed != 0.0:
@@ -136,45 +166,14 @@ def _validate(cfg: ScenarioConfig) -> None:
     elif not (0.0 < cfg.min_speed <= cfg.max_speed):
         fail("0 < min_speed <= max_speed",
              f"min_speed={cfg.min_speed}, max_speed={cfg.max_speed}")
-    if cfg.pause_time < 0:
-        fail("pause_time >= 0", f"pause_time={cfg.pause_time}")
-    if cfg.tx_range <= 0:
-        fail("tx_range > 0", f"tx_range={cfg.tx_range}")
-    if cfg.sim_duration <= 0:
-        fail("sim_duration > 0", f"sim_duration={cfg.sim_duration}")
-    if cfg.hello_interval <= 0:
-        fail("hello_interval > 0", f"hello_interval={cfg.hello_interval}")
-    if cfg.neighbor_timeout <= 0:
-        fail("neighbor_timeout > 0", f"neighbor_timeout={cfg.neighbor_timeout}")
-    if cfg.flow_count is not None:
-        if cfg.flow_count < 1:
-            fail("flow_count >= 1", f"flow_count={cfg.flow_count}")
-        if not cfg.allow_shared_endpoints and 2 * cfg.flow_count > cfg.node_count:
-            fail("flow_count <= node_count / 2",
-                 f"{cfg.flow_count} disjoint flows need "
-                 f"{2 * cfg.flow_count} endpoint nodes but node_count={cfg.node_count}; "
-                 "set allow_shared_endpoints=true to relax")
-    if cfg.packet_rate <= 0:
-        fail("packet_rate > 0", f"packet_rate={cfg.packet_rate}")
-    if cfg.packet_size <= 0:
-        fail("packet_size > 0", f"packet_size={cfg.packet_size}")
-    if cfg.queue_capacity < 1:
-        fail("queue_capacity >= 1", f"queue_capacity={cfg.queue_capacity}")
-    if cfg.link_rate <= 0:
-        fail("link_rate > 0", f"link_rate={cfg.link_rate}")
+    flows = cfg.flow_count
+    if flows is not None and not cfg.allow_shared_endpoints and 2 * flows > cfg.node_count:
+        fail("flow_count <= node_count / 2",
+             f"{flows} disjoint flows need {2 * flows} endpoint nodes but "
+             f"node_count={cfg.node_count}; set allow_shared_endpoints=true to relax")
     if not (2.0 <= cfg.path_loss_exponent <= 6.0):
         fail("2 <= path_loss_exponent <= 6",
              f"path_loss_exponent={cfg.path_loss_exponent}")
-    if cfg.tx_power <= 0:
-        fail("tx_power > 0", f"tx_power={cfg.tx_power}")
-    if cfg.formation_grace is not None and cfg.formation_grace < 0:
-        fail("formation_grace >= 0", f"formation_grace={cfg.formation_grace}")
-    if cfg.rreq_timeout <= 0:
-        fail("rreq_timeout > 0", f"rreq_timeout={cfg.rreq_timeout}")
-    if cfg.rreq_max_retries < 0:
-        fail("rreq_max_retries >= 0", f"rreq_max_retries={cfg.rreq_max_retries}")
-    if cfg.traffic_start < 0:
-        fail("traffic_start >= 0", f"traffic_start={cfg.traffic_start}")
     if cfg.traffic_stop is not None and cfg.traffic_stop < cfg.traffic_start:
         fail("traffic_start <= traffic_stop",
              f"start={cfg.traffic_start}, stop={cfg.traffic_stop}")
@@ -182,9 +181,8 @@ def _validate(cfg: ScenarioConfig) -> None:
 
 # One parser per config key, in field order, chosen by the field's annotation
 # text (annotations here are postponed) with any ``| None`` dropped.
-_TYPE_PARSERS = {"int": int, "float": float, "bool": _parse_bool, "Protocol": parse_protocol}
 _FIELD_PARSERS = {
-    f.name: _TYPE_PARSERS[f.type.removesuffix(" | None")] for f in fields(ScenarioConfig)
+    f.name: _FIELD_TYPES[f.type.removesuffix(" | None")][1] for f in fields(ScenarioConfig)
 }
 
 

@@ -57,7 +57,7 @@ from .metrics import (
     finalize,
 )
 from .mobility import WaypointLeg, next_leg, position_at
-from .radio import REFERENCE_DISTANCE, ChannelModel, channel_gain
+from .radio import REFERENCE_DISTANCE, channel_gain
 from .routing import RouteReplyPacket, RouteRequestPacket, RouterState
 from .traffic import DataPacket, Flow, generate_flows
 
@@ -188,10 +188,6 @@ class Simulation:
         self._seq = itertools.count()
         self._finished = False
         seed = cfg.rng_seed
-        self.channel = ChannelModel(
-            path_loss_exponent=cfg.path_loss_exponent,
-            fading_enabled=cfg.fading_enabled,
-        )
         self._fading_rng = random.Random(f"{seed}:fading") if cfg.fading_enabled else None
         self.ledger = MetricsLedger(formation_grace=cfg.effective_formation_grace)
         if placement is None:
@@ -389,7 +385,7 @@ class Simulation:
         # reads only ratios of successive powers, so elections do not depend on
         # its absolute scale.  Placements can put two nodes inside the close-in
         # reference distance; the model saturates there.
-        channel, rng = self.channel, self._fading_rng
+        exponent, rng = self.cfg.path_loss_exponent, self._fading_rng
         tx_power = self.cfg.tx_power
         d0 = REFERENCE_DISTANCE
         hypot = math.hypot
@@ -405,7 +401,7 @@ class Simulation:
             distance = hypot(dx, dy)
             if trace is not None:
                 trace.append((now, node.node_id, "receive", type(hello).__name__))
-            rx_power = tx_power * channel_gain(channel, d0 if distance < d0 else distance, rng)
+            rx_power = tx_power * channel_gain(exponent, d0 if distance < d0 else distance, rng)
             outcome = clustering.on_hello_received(node.cluster, hello, rx_power, now)
             if outcome.changed or outcome.send_hello:
                 self._apply_election_outcome(node, outcome)

@@ -207,6 +207,30 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, make, reason",
+    [
+        ("--config", lambda p: None, "No such file"),
+        ("--config", lambda p: p.mkdir(), "Is a directory"),
+        ("--config", lambda p: p.write_bytes(b"node_count=\xff\n"), "can't decode"),
+        ("--out", lambda p: p.write_text("not a directory\n"), "File exists"),
+    ],
+    ids=["config-missing", "config-directory", "config-not-utf8", "out-is-a-file"],
+)
+def test_cli_unusable_config_or_out_path_exits_2(fast_cfg_file, tmp_path, capsys, flag, make, reason):
+    # These used to end in a traceback and exit 1.
+    path = tmp_path / "target"
+    make(path)
+    args = {"--config": fast_cfg_file, "--out": tmp_path / "o", flag: path}
+    assert main([str(a) for kv in args.items() for a in kv]) == 2
+    err = capsys.readouterr().err
+    what = "cannot read --config" if flag == "--config" else "cannot create output directory"
+    assert f"configuration error: {what} {path}: " in err and reason in err
+    assert not (tmp_path / "o").exists()
+    if flag == "--out":
+        assert path.read_text() == "not a directory\n"
+
+
 def test_cli_repeated_config_key_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("area=500x400\nnode_count=10\narea_width=600\n")

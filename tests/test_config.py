@@ -95,7 +95,13 @@ def test_parse_bad_value_reports_line():
 def test_protocol_spellings():
     assert parse_config("protocol=cbrp").protocol is Protocol.CBRP
     assert parse_config("protocol=cross-cbrp").protocol is Protocol.CROSS_CBRP
-    assert parse_config("protocol=CrossCBRP").protocol is Protocol.CROSS_CBRP
+
+
+@pytest.mark.parametrize("spelling", ["crosscbrp", "CBRP"])
+def test_only_the_protocol_values_are_spellings(spelling):
+    # A scenario file accepts what --protocol accepts: Protocol's values.
+    with pytest.raises(ConfigError, match=f"line 1: unknown protocol '{spelling}'"):
+        parse_config(f"protocol={spelling}")
 
 
 def test_flow_disjointness_constraint():
@@ -117,6 +123,26 @@ def test_path_loss_exponent_bounds():
         ScenarioConfig(path_loss_exponent=1.5)
     with pytest.raises(ConfigError, match="path_loss_exponent"):
         ScenarioConfig(path_loss_exponent=6.5)
+
+
+@pytest.mark.parametrize(
+    "key, value, constraint",
+    [("fading_enabled", "false", "fading_enabled is bool"),
+     ("node_count", 10.5, "node_count is int"),
+     ("node_count", True, "node_count is int"),
+     ("protocol", "cbrp", "protocol is Protocol")],
+    ids=["bool-as-str", "int-as-float", "int-as-bool", "protocol-as-str"],
+)
+def test_constructor_rejects_a_value_of_the_wrong_type(key, value, constraint):
+    # The string "false" is truthy: accepted, it would turn fading on.
+    with pytest.raises(ConfigError, match=f"constraint violated: {constraint} "):
+        ScenarioConfig(**{key: value})
+
+
+def test_constructor_keeps_an_int_for_a_float_field_and_none_for_an_optional():
+    # Not coerced: runs.csv writes max_speed=20 as given.
+    cfg = ScenarioConfig(max_speed=20, flow_count=None, traffic_stop=None)
+    assert repr(cfg.max_speed) == "20"
 
 
 def test_static_scenario_requires_both_speeds_zero():
