@@ -21,13 +21,13 @@ hello sent, so it is summed, with no cache, when a hello is built: once per
 hello sent rather than once per hello received.
 
 Hello tables are derived once, by the sender: a hello carries its table as a
-read-only, id-ordered mapping together with the set of heads it lists over a
-bidirectional link, and every receiver's neighbor entry shares both objects.
-The sender keeps that pair (``table_snapshot``) and reuses it for later hellos
-until a link, a role or an entry of its table changes: ``set_link_role``
-(called for a new entry or a changed link or role) and an expiry drop it.
-A table's values are shared too: each is one of the six ``(bidirectional,
-role)`` pairs in ``LINK_ROLES``, so a table holds no tuple of its own.
+read-only, id-ordered mapping, with the set of heads it lists over a
+bidirectional link, taken from its kept ``adjacent_heads`` (below); every
+receiver's neighbor entry shares both objects.  The sender keeps that pair
+(``table_snapshot``) for later hellos until a link, a role or an entry of its
+table changes: ``set_link_role`` and an expiry drop it.  Each table value is
+one of the six shared ``(bidirectional, role)`` pairs in ``LINK_ROLES``, so a
+table holds no tuple of its own.
 
 Most hello receipts change nothing in the table's links and roles: the link
 and role a hello reports match the entry.  Such a receipt writes neither the
@@ -36,9 +36,10 @@ adjacent head, it skips the election step and its invariant check as well, and
 so does an expiry scan that removes nothing.  That step would read only
 ``adjacent_heads`` and ``head_ids``; only ``set_link_role``, an expiry removal
 or an earlier step writes them, and a step that leaves a node a member makes
-the two equal, so the last step that ran already left the outcome and the
-invariants as they stand.  Undecided nodes and heads with an adjacent head also
-read the time and advertised mobility, so they step on every receipt and scan.
+the two equal, so the last step that ran already left the outcome (a skipped
+step returns its role's shared ``_UNCHANGED`` one) and the invariants as they
+stand.  Undecided nodes and heads with an adjacent head also read the time and
+advertised mobility, so they step on every receipt and scan.
 
 Each node keeps, in place rather than rescanning its table per election or
 per relayed route request, its neighbors that have a bidirectional link and
@@ -104,14 +105,7 @@ PATIENCE_EXTRA_ROUNDS = 2.0
 NeighborTable = Mapping[int, tuple[bool, Role]]  # id -> (bidirectional, role)
 
 
-def advertised_head_ids(table: NeighborTable) -> frozenset[int]:
-    """Heads a neighbor table lists over a bidirectional link."""
-    return frozenset(
-        nid for nid, (bidir, role) in table.items() if bidir and role is CLUSTER_HEAD
-    )
-
-
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class HelloMessage:
     """Periodic 1-hop broadcast: sender identity, role, mobility value, and a
     snapshot of the sender's neighbor table.
@@ -119,7 +113,7 @@ class HelloMessage:
     The sender derives the table once: ``neighbor_table`` maps neighbor id to
     (bidirectional, role) in id order behind a read-only proxy, and
     ``advertised_heads`` holds the heads it lists over a bidirectional link.
-    Every receiver shares both objects; none copies or rebuilds them.
+    Every receiver shares both objects, and nothing writes a hello once built.
     """
 
     sender_id: int
@@ -142,9 +136,10 @@ class NeighborEntry:
     last_rx_power: float
     rel_mobility: float | None
     expires_at: float
-    # Neighbor's own table from its last hello, shared with the hello.
+    # Neighbor's own table from its last hello, and the ids it lists as
+    # bidirectional heads, both shared with the hello.
     advertised_neighbors: NeighborTable
-    advertised_heads: frozenset[int]  # advertised_head_ids(advertised_neighbors)
+    advertised_heads: frozenset[int]
 
 
 @dataclass(slots=True)
@@ -173,10 +168,14 @@ class NodeClusterState:
 
     @property
     def own_mobility(self) -> float:
-        """Aggregate mobility over the live samples, in table order."""
-        return aggregate_mobility(
-            [e.rel_mobility for e in self.neighbors.values() if e.rel_mobility is not None]
-        )
+        """``aggregate_mobility`` of the live samples in table order, in one loop."""
+        total, count = 0.0, 0
+        for e in self.neighbors.values():
+            r = e.rel_mobility
+            if r is not None:
+                total += r * r
+                count += 1
+        return total / count if count else 0.0
 
     @property
     def warmup_until(self) -> float:
@@ -189,7 +188,7 @@ class NodeClusterState:
 
 class ElectionOutcome:
     """The role transition of one election step, and whether it calls for a
-    triggered hello.  A plain slotted class: one is built per hello receipt."""
+    triggered hello.  A plain slotted class, built per step that runs."""
 
     __slots__ = ("old_role", "new_role", "send_hello", "changed")
 
@@ -198,6 +197,10 @@ class ElectionOutcome:
         self.new_role = new_role
         self.send_hello = send_hello
         self.changed = old_role is not new_role
+
+
+# What a skipped election step returns, per role; never written.
+_UNCHANGED = {role: ElectionOutcome(role, role, False) for role in Role}
 
 
 def relative_mobility(pr_new: float, pr_old: float) -> float:
@@ -238,28 +241,24 @@ def hello_size_bytes(entry_count: int, protocol: Protocol) -> int:
 
 def table_snapshot(state: NodeClusterState) -> tuple[NeighborTable, frozenset[int]]:
     """The node's table as a hello carries it, with its advertised heads:
-    built when stale, otherwise the pair built for an earlier hello."""
+    built when stale (the heads from ``adjacent_heads``), otherwise the pair
+    built for an earlier hello."""
     snapshot = state._snapshot
     if snapshot is None:
         table = MappingProxyType({
             nid: LINK_ROLES[e.role][e.bidirectional] for nid, e in sorted(state.neighbors.items())
         })
-        snapshot = state._snapshot = (table, advertised_head_ids(table))
+        snapshot = state._snapshot = (table, frozenset(state.adjacent_heads))
     return snapshot
 
 
 def build_hello(state: NodeClusterState) -> HelloMessage:
     """Snapshot the node's table into a hello broadcast."""
     table, heads = table_snapshot(state)
-    mobility = state.own_mobility
-    state.broadcast_mobility = mobility
+    mobility = state.broadcast_mobility = state.own_mobility
     return HelloMessage(
-        sender_id=state.node_id,
-        sender_role=state.role,
-        sender_mobility=mobility,
-        neighbor_table=table,
-        advertised_heads=heads,
-        size_bytes=hello_size_bytes(len(table), state.protocol),
+        state.node_id, state.role, mobility, table, heads,
+        hello_size_bytes(len(table), state.protocol),
     )
 
 
@@ -322,7 +321,7 @@ def _election_step(state: NodeClusterState, now: float, touched: bool) -> Electi
     if not touched and (
         old_role is MEMBER or (old_role is CLUSTER_HEAD and not state.adjacent_heads)
     ):
-        return ElectionOutcome(old_role, old_role, False)
+        return _UNCHANGED[old_role]
     send = run_election(state, now)
     check_invariants(state)
     return ElectionOutcome(old_role, state.role, send)

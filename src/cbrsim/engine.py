@@ -270,21 +270,18 @@ class Simulation:
     # -- transmission path --------------------------------------------------
 
     def _enqueue_packet(self, node: Node, packet) -> None:
-        outcome, evicted = node.queue.enqueue(packet)
+        queue = node.queue
+        outcome, evicted = queue.enqueue(packet)
         if outcome is _DROPPED_INCOMING:
             if not packet.control:
                 self._drop_data(packet, FATE_QUEUE)
             return
         if evicted is not None:
             self._drop_data(evicted, FATE_QUEUE)
-        if node.queue.transmitting is None:
-            self._start_transmission(node)
-
-    def _start_transmission(self, node: Node) -> None:
-        packet = node.queue.pop_head()
-        node.queue.transmitting = packet
-        busy_until = self.now + packet.size_bytes * 8.0 / self._link_rate
-        self.schedule(busy_until, _TRANSMIT_COMPLETE, (node.node_id,))
+        if queue.transmitting is None:  # idle: start sending the queue's head
+            head = queue.transmitting = queue.pop_head()
+            busy_until = self.now + head.size_bytes * 8.0 / self._link_rate
+            self.schedule(busy_until, _TRANSMIT_COMPLETE, (node.node_id,))
 
     def _on_transmit_complete(self, node_id: int) -> None:
         node = self.nodes[node_id]
@@ -294,7 +291,8 @@ class Simulation:
             raise InvariantError(f"node {node_id} completed an idle transmission")
         queue.transmitting = None
         now = self.now
-        if isinstance(packet, HelloMessage):
+        kind = type(packet)
+        if kind is HelloMessage:
             self.ledger.hello_sent += 1
             reachable = True  # its receivers are found at delivery
         else:
@@ -303,11 +301,11 @@ class Simulation:
             dx = ox - x
             dy = oy - y
             reachable = dx * dx + dy * dy <= self._range_sq
-            if isinstance(packet, RouteRequestPacket):
+            if kind is RouteRequestPacket:
                 self.ledger.rreq_sent += 1
                 if not reachable:
                     self.ledger.rreq_losses += 1
-            elif isinstance(packet, RouteReplyPacket):
+            elif kind is RouteReplyPacket:
                 self.ledger.rrep_sent += 1
                 if not reachable:
                     self.ledger.rrep_losses += 1
@@ -321,9 +319,11 @@ class Simulation:
                         (now, "route_break", packet.flow_id, len(packet.route or ()))
                     )
         if queue._control or queue._data:
-            self._start_transmission(node)
+            head = queue.transmitting = queue.pop_head()
+            busy_until = now + head.size_bytes * 8.0 / self._link_rate
+            self.schedule(busy_until, _TRANSMIT_COMPLETE, (node_id,))
         if self.trace is not None:
-            self.trace["events"].append((now, node_id, "transmit_complete", type(packet).__name__))
+            self.trace["events"].append((now, node_id, "transmit_complete", kind.__name__))
         if reachable:
             # Receive now unless an event is due first (module docstring).
             heap = self._heap
@@ -337,21 +337,22 @@ class Simulation:
     def _on_packet_delivery(self, packet) -> None:
         """Deliver ``packet``: a hello to every node in range of its sender,
         anything else to its next hop."""
-        if isinstance(packet, HelloMessage):
+        kind = type(packet)
+        if kind is HelloMessage:
             self._deliver_hello(packet)
             return
         recipient = packet.next_hop
         node = self.nodes[recipient]
         trace = self.trace
         if trace is not None:
-            trace["events"].append((self.now, recipient, "receive", type(packet).__name__))
-        if isinstance(packet, RouteRequestPacket):
+            trace["events"].append((self.now, recipient, "receive", kind.__name__))
+        if kind is RouteRequestPacket:
             result = routing.process_rreq(node.cluster, packet)
             if result.reply is not None:
                 self._enqueue_packet(node, result.reply)
             for copy in result.forwards:
                 self._enqueue_packet(node, copy)
-        elif isinstance(packet, RouteReplyPacket):
+        elif kind is RouteReplyPacket:
             reply = routing.process_rrep(node.router, node.cluster, packet)
             if reply is not None:
                 self._enqueue_packet(node, reply)
@@ -378,7 +379,9 @@ class Simulation:
         in id order; each position, the sender's first, is read once."""
         now, nodes = self.now, self.nodes
         sender = nodes[hello.sender_id]
-        sx, sy = position_at(sender.leg, now)
+        # Read per call, so a wrapper installed on a module name is the one called.
+        position, gain, receive = position_at, channel_gain, clustering.on_hello_received
+        sx, sy = position(sender.leg, now)
         range_sq = self._range_sq
         trace = None if self.trace is None else self.trace["events"]
         # Received power at the configured transmit power.  The mobility metric
@@ -392,7 +395,7 @@ class Simulation:
         for node in nodes:
             if node is sender:
                 continue
-            x, y = position_at(node.leg, now)
+            x, y = position(node.leg, now)
             dx = x - sx
             dy = y - sy
             if dx * dx + dy * dy > range_sq:
@@ -400,9 +403,9 @@ class Simulation:
             # Same bits as math.dist(sender position, receiver position).
             distance = hypot(dx, dy)
             if trace is not None:
-                trace.append((now, node.node_id, "receive", type(hello).__name__))
-            rx_power = tx_power * channel_gain(exponent, d0 if distance < d0 else distance, rng)
-            outcome = clustering.on_hello_received(node.cluster, hello, rx_power, now)
+                trace.append((now, node.node_id, "receive", "HelloMessage"))
+            rx_power = tx_power * gain(exponent, d0 if distance < d0 else distance, rng)
+            outcome = receive(node.cluster, hello, rx_power, now)
             if outcome.changed or outcome.send_hello:
                 self._apply_election_outcome(node, outcome)
 

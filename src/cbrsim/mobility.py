@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .config import ScenarioConfig
 from .errors import InvariantError
@@ -20,12 +20,13 @@ Position = tuple[float, float]
 _TIME_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WaypointLeg:
     """One travel segment: origin to destination at a fixed speed, then pause.
 
     A static scenario (max_speed == 0) is represented by a single leg with
-    speed 0 and an infinite pause.
+    speed 0 and an infinite pause.  The travel span and deltas are derived
+    once, for ``position_at``.
     """
 
     origin: Position
@@ -34,6 +35,16 @@ class WaypointLeg:
     depart_time: float
     arrive_time: float
     pause_until: float
+    span: float = field(init=False, repr=False, compare=False)
+    dx: float = field(init=False, repr=False, compare=False)
+    dy: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        (ox, oy), (x, y) = self.origin, self.destination
+        put = object.__setattr__  # the class is frozen
+        put(self, "span", self.arrive_time - self.depart_time)
+        put(self, "dx", x - ox)
+        put(self, "dy", y - oy)
 
 
 def next_leg(
@@ -58,17 +69,13 @@ def position_at(leg: WaypointLeg, t: float) -> Position:
 
     The engine's one leg check: ``t`` must lie within [depart_time,
     pause_until], with 1e-9 s of slack.  No read falls in the slack past
-    ``pause_until``: the node's arrival event runs at exactly that time.
+    ``pause_until``: the node's arrival event runs at exactly that time.  A
+    read inside the travel span, the common case, needs one chained test.
     """
-    if t < leg.depart_time - _TIME_SLACK or t > leg.pause_until + _TIME_SLACK:
-        raise InvariantError(
-            f"t={t} outside leg span [{leg.depart_time}, {leg.pause_until}]"
-        )
-    if t >= leg.arrive_time:
-        return leg.destination
-    if t <= leg.depart_time:
-        return leg.origin
-    frac = (t - leg.depart_time) / (leg.arrive_time - leg.depart_time)
-    ox, oy = leg.origin
-    dx, dy = leg.destination
-    return (ox + frac * (dx - ox), oy + frac * (dy - oy))
+    if leg.depart_time < t < leg.arrive_time:
+        frac = (t - leg.depart_time) / leg.span
+        ox, oy = leg.origin
+        return (ox + frac * leg.dx, oy + frac * leg.dy)
+    if leg.depart_time - _TIME_SLACK <= t <= leg.pause_until + _TIME_SLACK:
+        return leg.destination if t >= leg.arrive_time else leg.origin
+    raise InvariantError(f"t={t} outside leg span [{leg.depart_time}, {leg.pause_until}]")

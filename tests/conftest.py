@@ -11,9 +11,9 @@ import pytest
 import cbrsim
 from cbrsim.clustering import (
     NeighborEntry,
+    NeighborTable,
     NodeClusterState,
     Role,
-    advertised_head_ids,
     check_invariants,
     run_election,
     set_link_role,
@@ -82,6 +82,12 @@ def make_state(
     return state
 
 
+def advertised_ids(table: NeighborTable, role: Role) -> frozenset[int]:
+    """The ids a hello table lists over a bidirectional link with ``role``: a
+    scan of the table, which a hello's advertised heads must match."""
+    return frozenset(nid for nid, (bidir, r) in table.items() if bidir and r is role)
+
+
 def add_neighbor(
     state: NodeClusterState,
     neighbor_id: int,
@@ -103,7 +109,7 @@ def add_neighbor(
         rel_mobility=rel_mobility,
         expires_at=expires_at,
         advertised_neighbors=advertised_neighbors,
-        advertised_heads=advertised_head_ids(advertised_neighbors),
+        advertised_heads=advertised_ids(advertised_neighbors, Role.CLUSTER_HEAD),
     )
     state.neighbors[neighbor_id] = entry
     set_link_role(state, entry, entry.bidirectional, entry.role)

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbrsim.clustering import (
+    _UNCHANGED,
     Role,
-    advertised_head_ids,
     aggregate_mobility,
     build_hello,
     check_invariants,
@@ -21,7 +21,13 @@ from cbrsim.clustering import (
 )
 from cbrsim.config import Protocol
 from cbrsim.routing import RouteRequestPacket, control_size_bytes, process_rreq
-from conftest import add_neighbor, assert_election_settled, make_state, set_neighbor_role
+from conftest import (
+    add_neighbor,
+    advertised_ids,
+    assert_election_settled,
+    make_state,
+    set_neighbor_role,
+)
 
 AFTER_WARMUP = 100.0
 
@@ -431,6 +437,7 @@ def test_invariant_checker_accepts_consistent_states():
 
 # -- derived-data caches (property) -------------------------------------------
 
+HEAD = Role.CLUSTER_HEAD
 ROLES = st.sampled_from(list(Role))
 HELLO_STEP = st.tuples(
     st.just("hello"),
@@ -481,13 +488,13 @@ def test_caches_match_their_sources(protocol, steps):
             now += dt
             expire_neighbors(state, now)
         if read:
-            assert state.own_mobility == live_aggregate(state)
+            assert state.own_mobility.hex() == live_aggregate(state).hex()
         for e in state.neighbors.values():
             heads = {
                 nid for nid, (bidir, r) in e.advertised_neighbors.items()
                 if bidir and r is Role.CLUSTER_HEAD
             }
-            assert e.advertised_heads == heads == advertised_head_ids(e.advertised_neighbors)
+            assert e.advertised_heads == heads == advertised_ids(e.advertised_neighbors, HEAD)
         assert state.adjacent_heads == {
             nid for nid, e in state.neighbors.items()
             if e.bidirectional and e.role is Role.CLUSTER_HEAD
@@ -510,16 +517,23 @@ def test_caches_match_their_sources(protocol, steps):
         }
         table, heads = snapshot = table_snapshot(state)
         assert list(table.items()) == list(fresh.items())
-        assert heads == advertised_head_ids(fresh)
+        # The heads, taken from adjacent_heads, equal a scan of the table.
+        assert heads == advertised_ids(fresh, HEAD)
         if fresh == kept_table:
             assert snapshot is kept
         kept, kept_table = snapshot, fresh
-    assert state.own_mobility == live_aggregate(state)
+    # own_mobility's one loop gives aggregate_mobility's bits.
+    assert state.own_mobility.hex() == live_aggregate(state).hex()
     for hello, table in sent:
         assert dict(hello.neighbor_table) == table
         assert list(hello.neighbor_table) == sorted(table)
+        assert hello.advertised_heads == advertised_ids(table, HEAD)
         with pytest.raises(TypeError):
             hello.neighbor_table[0] = (True, Role.CLUSTER_HEAD)
+    # The outcomes skipped steps share are never written.
+    for role, outcome in _UNCHANGED.items():
+        assert (outcome.old_role, outcome.new_role, outcome.send_hello) == (role, role, False)
+        assert outcome.changed is False
 
 
 def test_hello_table_is_shared_by_every_receiver():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cbrsim.errors import InvariantError
-from cbrsim.mobility import next_leg, position_at
+from cbrsim.mobility import WaypointLeg, next_leg, position_at
 from conftest import make_cfg, static_cfg
 
 
@@ -112,3 +112,47 @@ def test_static_mode_holds_position_forever():
     leg = next_leg((123.0, 45.0), 0.0, cfg, random.Random(0))
     assert math.isinf(leg.pause_until)
     assert position_at(leg, 1e6) == (123.0, 45.0)
+
+
+COORD = st.floats(0.0, 2000.0)
+
+
+@given(
+    origin=st.tuples(COORD, COORD),
+    destination=st.tuples(COORD, COORD),
+    depart=st.floats(0.0, 1e4),
+    travel=st.floats(1e-6, 1e3),
+    pause=st.floats(0.0, 10.0),
+    frac=st.floats(0.0, 1.0),
+)
+@settings(max_examples=300, deadline=None)
+def test_position_is_the_leg_formula_bit_for_bit(origin, destination, depart, travel, pause, frac):
+    # position_at reads the span and deltas the leg derived once; they must give
+    # the bits of the formula on the six fields, and the span check must hold.
+    arrive = depart + travel
+    leg = WaypointLeg(origin, destination, 1.0, depart, arrive, arrive + pause)
+    (ox, oy), (dx, dy) = origin, destination
+    t = depart + frac * (arrive - depart)
+    if depart < t < arrive:
+        expected = (
+            ox + (t - depart) / (arrive - depart) * (dx - ox),
+            oy + (t - depart) / (arrive - depart) * (dy - oy),
+        )
+    else:
+        expected = destination if t >= arrive else origin
+    assert [v.hex() for v in position_at(leg, t)] == [v.hex() for v in expected]
+    assert position_at(leg, arrive + pause) == destination
+    with pytest.raises(InvariantError):
+        position_at(leg, depart - 2e-9)
+    with pytest.raises(InvariantError):
+        position_at(leg, arrive + pause + 2e-9)
+
+
+def test_legs_compare_by_their_six_fields():
+    fields = ((1.0, 2.0), (3.0, 4.0), 2.0, 0.0, 1.5, 2.5)
+    leg = WaypointLeg(*fields)
+    assert leg == WaypointLeg(*fields) and hash(leg) == hash(WaypointLeg(*fields))
+    for i, other in enumerate(((1.0, 2.5), (3.0, 4.5), 2.5, 0.5, 1.75, 3.0)):
+        changed = list(fields)
+        changed[i] = other
+        assert leg != WaypointLeg(*changed)

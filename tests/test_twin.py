@@ -5,15 +5,16 @@ The engine takes shortcuts that must not change what a run produces:
 * it keeps each node's ``adjacent_heads`` and ``adjacent_members`` in step
   with its table instead of rebuilding them;
 * it skips an election step whose inputs did not change;
-* it reuses a node's table snapshot until a link, role or entry changes;
+* it reuses a node's table snapshot until a link, role or entry changes, and
+  takes the snapshot's heads from ``adjacent_heads``;
 * it receives a packet inside the event that completes its transmission,
   unless another event is due first.
 
 The twin takes none of them, by monkeypatching on the test side alone: it
-rebuilds both adjacent sets from the table before every election step,
-always runs the election, always rebuilds the snapshot, and always schedules
-a reception as a delivery event.  Every config must give the same report,
-role-change log and installed routes under both.
+rebuilds both adjacent sets from the table before every election step and
+every snapshot, always runs the election, always rebuilds the snapshot, and
+always schedules a reception as a delivery event.  Every config must give the
+same report, role-change log and installed routes under both.
 """
 
 from collections import Counter
@@ -45,18 +46,23 @@ def run(cfg: ScenarioConfig):
     return report, sim.ledger.role_changes, routes
 
 
+def rebuild_adjacent(state):
+    bidir = [(nid, e) for nid, e in state.neighbors.items() if e.bidirectional]
+    state.adjacent_heads = {nid for nid, e in bidir if e.role is CLUSTER_HEAD}
+    state.adjacent_members = {nid: e for nid, e in bidir if e.role is MEMBER}
+
+
 def run_twin(cfg: ScenarioConfig, monkeypatch, taken: Counter):
     step, snapshot = clustering._election_step, clustering.table_snapshot
 
     def full_step(state, now, touched):
         taken["step"] += 1
-        bidir = [(nid, e) for nid, e in state.neighbors.items() if e.bidirectional]
-        state.adjacent_heads = {nid for nid, e in bidir if e.role is CLUSTER_HEAD}
-        state.adjacent_members = {nid: e for nid, e in bidir if e.role is MEMBER}
+        rebuild_adjacent(state)
         return step(state, now, True)
 
     def fresh_snapshot(state):
         taken["snapshot"] += 1
+        rebuild_adjacent(state)
         state._snapshot = None
         return snapshot(state)
 
@@ -89,3 +95,7 @@ def test_shipped_engine_equals_its_shortcut_free_twin(cfg, monkeypatch):
     assert report == twin_report
     assert role_changes == twin_role_changes
     assert routes == twin_routes
+    # The outcomes that skipped steps share were never written in either run.
+    for role, outcome in clustering._UNCHANGED.items():
+        assert (outcome.old_role, outcome.new_role, outcome.send_hello) == (role, role, False)
+        assert outcome.changed is False
