@@ -95,7 +95,3 @@ def test_shipped_engine_equals_its_shortcut_free_twin(cfg, monkeypatch):
     assert report == twin_report
     assert role_changes == twin_role_changes
     assert routes == twin_routes
-    # The outcomes that skipped steps share were never written in either run.
-    for role, outcome in clustering._UNCHANGED.items():
-        assert (outcome.old_role, outcome.new_role, outcome.send_hello) == (role, role, False)
-        assert outcome.changed is False
