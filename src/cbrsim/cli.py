@@ -109,9 +109,10 @@ class SweepResult:
     summary: dict  # (axis value, protocol value) -> {metric: MetricStats}
 
 
-def _axis_value_of(report: RunReport, axis: SweepAxis):
-    name = _AXIS_FIELDS.get(axis)
-    return None if name is None else getattr(report, name)
+def _number_text(x: float) -> str:
+    """Shortest text that reads back as ``x``, without a trailing ".0": 5.0 is
+    "5", and 10.0000001 and 10.0000002 stay apart (``:g`` rounds both to 10)."""
+    return repr(x).removesuffix(".0")
 
 
 def run_sweep(
@@ -199,9 +200,10 @@ def group_cells(reports: list[RunReport], axis: SweepAxis) -> dict[tuple, list[R
     ``run_sweep`` groups parsed runs.csv rows alone, which is the
     reproducibility contract for summary.csv.
     """
+    name = _AXIS_FIELDS.get(axis)
     cells: dict[tuple, list[RunReport]] = {}
     for report in reports:
-        key = (_axis_value_of(report, axis), report.protocol)
+        key = (None if name is None else getattr(report, name), report.protocol)
         cells.setdefault(key, []).append(report)
     return dict(sorted(cells.items(), key=lambda kv: (kv[0][0] is None, kv[0])))
 
@@ -254,7 +256,7 @@ def format_report(result: SweepResult, cells: dict[tuple, list[RunReport]]) -> s
             s = stats[metric]
             std = "n/a" if s.stddev is None else f"{s.stddev:.3g}"
             columns.append(f"{s.mean:.6g} ({std})".rjust(24))
-        axis_text = "-" if value is None else f"{value:g}"
+        axis_text = "-" if value is None else _number_text(value)
         lines.append(f"{axis_text:>8} {protocol:>12}" + "".join(f" {c}" for c in columns))
     lines.append("")
     protocols_present = {p for _, p in summary.keys()}
@@ -268,7 +270,7 @@ def format_report(result: SweepResult, cells: dict[tuple, list[RunReport]]) -> s
             if protocol != Protocol.CBRP.value or var_reports is None:
                 continue
             for comparison in paired_comparison(base_reports, var_reports):
-                axis_text = "-" if value is None else f"{value:g}"
+                axis_text = "-" if value is None else _number_text(value)
                 lines.append(
                     f"{axis_text:>8} {comparison.metric:>16} "
                     f"{comparison.baseline_mean:>14.6g} {comparison.variant_mean:>14.6g} "
@@ -284,7 +286,8 @@ def format_report(result: SweepResult, cells: dict[tuple, list[RunReport]]) -> s
 
 
 def _write_traces(sim: Simulation, out: Path, cfg: ScenarioConfig) -> None:
-    tag = f"{cfg.protocol.value}_seed{cfg.rng_seed}_v{cfg.max_speed:g}_r{cfg.packet_rate:g}"
+    speed, rate = _number_text(cfg.max_speed), _number_text(cfg.packet_rate)
+    tag = f"{cfg.protocol.value}_seed{cfg.rng_seed}_v{speed}_r{rate}"
     tables = {stem: (header, sim.trace[stem]) for stem, header in TRACE_HEADERS.items()}
     tables["flows"] = ([f.name for f in fields(Flow)], map(astuple, sim.flows))
     for stem, (header, rows) in tables.items():
@@ -382,6 +385,9 @@ def plan_from_args(args) -> ExperimentPlan:
             values = tuple(float(v) for v in value_text.split(",") if v.strip())
         except ValueError:
             raise ConfigError(f"bad sweep values {value_text!r}") from None
+        field = _AXIS_FIELDS[axis]
+        if field in overrides:  # the sweep sets that field in every cell
+            raise ConfigError(f"--sweep: {field} is already set by --{field}")
     return ExperimentPlan(base=base, axis=axis, values=values, protocols=protocols, seeds=seeds)
 
 

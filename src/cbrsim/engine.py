@@ -48,14 +48,7 @@ from . import clustering, routing
 from .clustering import HelloMessage, NodeClusterState
 from .config import ScenarioConfig, generate_initial_placement
 from .errors import InvariantError
-from .metrics import (
-    FATE_FORWARD_FAIL,
-    FATE_NO_ROUTE,
-    FATE_QUEUE,
-    MetricsLedger,
-    RunReport,
-    finalize,
-)
+from .metrics import MetricsLedger, RunReport, finalize
 from .mobility import WaypointLeg, next_leg, position_at
 from .radio import REFERENCE_DISTANCE, channel_gain
 from .routing import RouteReplyPacket, RouteRequestPacket, RouterState
@@ -259,13 +252,10 @@ class Simulation:
             self.now = time
             handlers[kind](self, *payload)
         self.now = duration
-        self._sweep_unfinished()
-        self._finished = True
-        return finalize(self.ledger, self.cfg)
-
-    def _sweep_unfinished(self) -> None:
         self.ledger.in_flight_at_horizon += len(self._in_flight)
         self._in_flight.clear()
+        self._finished = True
+        return finalize(self.ledger, self.cfg)
 
     # -- transmission path --------------------------------------------------
 
@@ -274,10 +264,12 @@ class Simulation:
         outcome, evicted = queue.enqueue(packet)
         if outcome is _DROPPED_INCOMING:
             if not packet.control:
-                self._drop_data(packet, FATE_QUEUE)
+                self._classify(packet)
+                self.ledger.drop_queue += 1
             return
         if evicted is not None:
-            self._drop_data(evicted, FATE_QUEUE)
+            self._classify(evicted)
+            self.ledger.drop_queue += 1
         if queue.transmitting is None:  # idle: start sending the queue's head
             head = queue.transmitting = queue.pop_head()
             busy_until = self.now + head.size_bytes * 8.0 / self._link_rate
@@ -312,7 +304,8 @@ class Simulation:
             elif not reachable:
                 # Next hop drifted out of range: the packet is lost and the
                 # flow's source forgets the broken route.
-                self._drop_data(packet, FATE_FORWARD_FAIL)
+                self._classify(packet)
+                self.ledger.drop_forward_fail += 1
                 self.nodes[packet.src].router.cache.pop(packet.dst, None)
                 if self.trace is not None:
                     self.trace["route_events"].append(
@@ -477,8 +470,8 @@ class Simulation:
         pending = node.router.pending.setdefault(packet.dst, deque())
         pending.append(packet)
         if len(pending) > routing.PENDING_LIMIT:
-            oldest = pending.popleft()
-            self._drop_data(oldest, FATE_NO_ROUTE)
+            self._classify(pending.popleft())
+            self.ledger.drop_no_route += 1
         if packet.dst not in node.router.discoveries:
             self._originate(node, packet.dst)
 
@@ -509,7 +502,8 @@ class Simulation:
             node.router.discoveries.pop(destination, None)
             pending = node.router.pending.pop(destination, None)
             for packet in pending or ():
-                self._drop_data(packet, FATE_NO_ROUTE)
+                self._classify(packet)
+                self.ledger.drop_no_route += 1
             return
         self._originate(node, destination)
 
@@ -526,10 +520,6 @@ class Simulation:
         # The caller holds ``packet``, so no other live packet shares its id.
         if self._in_flight.pop(id(packet), None) is not packet:
             raise InvariantError(f"data packet of flow {packet.flow_id} classified twice")
-
-    def _drop_data(self, packet: DataPacket, fate: str) -> None:
-        self._classify(packet)
-        self.ledger.record_drop(fate)
 
     # -- introspection ------------------------------------------------------
 

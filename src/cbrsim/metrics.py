@@ -10,12 +10,6 @@ from .clustering import Role, sum_in_order
 from .config import ScenarioConfig
 from .errors import InvariantError
 
-# Drop causes: every emitted packet is delivered, dropped for one of these, or
-# still in flight at the horizon.
-FATE_QUEUE = "drop_queue"
-FATE_NO_ROUTE = "drop_no_route"
-FATE_FORWARD_FAIL = "drop_forward_fail"
-
 
 @dataclass
 class MetricsLedger:
@@ -31,16 +25,14 @@ class MetricsLedger:
     rreq_sent: int = 0
     rrep_sent: int = 0
     latency_total: float = 0.0  # summed left to right as deliveries happen
+    # Every emitted packet is delivered, dropped for one of these three causes,
+    # or still in flight at the horizon.
     drop_queue: int = 0
     drop_no_route: int = 0
     drop_forward_fail: int = 0
     in_flight_at_horizon: int = 0
     rreq_losses: int = 0
     rrep_losses: int = 0
-
-    @property
-    def control_packets_sent(self) -> int:
-        return self.hello_sent + self.rreq_sent + self.rrep_sent
 
     def record_role_change(
         self, node_id: int, old_role: Role, new_role: Role, now: float
@@ -58,16 +50,6 @@ class MetricsLedger:
         self.data_delivered += 1
         self.delivered_bytes += size_bytes
         self.latency_total += latency
-
-    def record_drop(self, cause: str) -> None:
-        if cause == FATE_QUEUE:
-            self.drop_queue += 1
-        elif cause == FATE_NO_ROUTE:
-            self.drop_no_route += 1
-        elif cause == FATE_FORWARD_FAIL:
-            self.drop_forward_fail += 1
-        else:
-            raise ValueError(f"unknown drop cause {cause!r}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +130,7 @@ def finalize(ledger: MetricsLedger, cfg: ScenarioConfig) -> RunReport:
         packet_rate=cfg.packet_rate,
         pdr=pdr,
         throughput_bps=ledger.delivered_bytes * 8.0 / cfg.sim_duration,
-        overhead_pkts=ledger.control_packets_sent,
+        overhead_pkts=ledger.hello_sent + ledger.rreq_sent + ledger.rrep_sent,
         mean_delay_s=mean_delay,
         throughput_pps=delivered / cfg.sim_duration,
         **{name: getattr(ledger, name) for name in _LEDGER_COUNTERS},

@@ -142,23 +142,10 @@ def _forward_targets(cluster: NodeClusterState, route: tuple[int, ...]) -> list[
 
 
 def _make_copies(
-    rreq: RouteRequestPacket, route: tuple[int, ...], targets: list[int]
+    target: int, seen: set[int], route: tuple[int, ...], next_hops: list[int]
 ) -> list[RouteRequestPacket]:
     size = control_size_bytes(len(route))
-    return [
-        RouteRequestPacket(rreq.target, route, t, size, rreq.seen) for t in targets
-    ]
-
-
-def _make_reply(route: tuple[int, ...], replier: int) -> RouteReplyPacket:
-    idx = route.index(replier)
-    if idx == 0:
-        raise InvariantError("route reply originated at the route's source")
-    return RouteReplyPacket(
-        route=route,
-        next_hop=route[idx - 1],
-        size_bytes=control_size_bytes(len(route)),
-    )
+    return [RouteRequestPacket(target, route, hop, size, seen) for hop in next_hops]
 
 
 def originate_rreq(
@@ -177,22 +164,12 @@ def originate_rreq(
     if route is not None:
         router.cache[target] = route
         return OriginateResult(installed=route, packets=[])
-    base = RouteRequestPacket(
-        target=target,
-        recorded_route=(node_id,),
-        next_hop=node_id,
-        size_bytes=control_size_bytes(1),
-        seen={node_id},
-    )
     if cluster.role is CLUSTER_HEAD:
         # The source is its own head: no unicast hop, fan out directly.
-        targets = _forward_targets(cluster, (node_id,))
-        return OriginateResult(None, _make_copies(base, (node_id,), targets))
-    if cluster.role is MEMBER and cluster.head_ids:
-        return OriginateResult(
-            None, _make_copies(base, (node_id,), sorted(cluster.head_ids))
-        )
-    return OriginateResult(None, [])
+        next_hops = _forward_targets(cluster, (node_id,))
+    else:  # an undecided node has no heads and sends nothing
+        next_hops = sorted(cluster.head_ids)
+    return OriginateResult(None, _make_copies(target, {node_id}, (node_id,), next_hops))
 
 
 def process_rreq(cluster: NodeClusterState, rreq: RouteRequestPacket) -> RreqResult:
@@ -209,9 +186,12 @@ def process_rreq(cluster: NodeClusterState, rreq: RouteRequestPacket) -> RreqRes
     if completed is not None:
         if len(set(completed)) != len(completed):
             raise InvariantError(f"duplicate id in completed route {completed}")
-        return RreqResult(_make_reply(completed, node_id), [])
-    targets = _forward_targets(cluster, route)
-    return RreqResult(None, _make_copies(rreq, route, targets))
+        reply = RouteReplyPacket(
+            completed, rreq.recorded_route[-1], control_size_bytes(len(completed))
+        )
+        return RreqResult(reply, [])
+    next_hops = _forward_targets(cluster, route)
+    return RreqResult(None, _make_copies(rreq.target, rreq.seen, route, next_hops))
 
 
 def process_rrep(

@@ -65,7 +65,8 @@ def test_json_holds_each_workloads_summary(tmp_path, monkeypatch):
     assert bench_pairs.main(args) == 1  # a run of "bad" was not correct
     data = json.loads(out.read_text(encoding="utf-8"))
     assert data["pairs"] == 4 and data["pool"] == "main"
-    assert data["src_lines"] == {"base": {"total": 4}, "change": {"total": 6}}
+    # Both trees' names are as long, so their paths are too.
+    assert data["src_lines"] == {"base": {"total": 6}, "change": {"total": 6}}
     assert "tier1" not in data
     assert data["workloads"]["good"]["all_correct"] is True
     assert data["workloads"]["bad"]["all_correct"] is False

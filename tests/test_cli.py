@@ -262,15 +262,22 @@ def test_cli_unknown_sweep_axis_exits_2(fast_cfg_file, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["--area_width", "600", "--area", "500x400"], ["--area", "500x400", "--area_width", "600"]],
-    ids=["width-then-area", "area-then-width"],
+    "argv, flag, field",
+    [
+        (["--area_width", "600", "--area", "500x400"], "area", "area_width"),
+        (["--area", "500x400", "--area_width", "600"], "area", "area_width"),
+        # The sweep sets its field in every cell, so the flag's value was
+        # recorded in config.txt and report.txt yet used by no run.
+        (["--sweep", "speed=5,10", "--max_speed", "30"], "sweep", "max_speed"),
+        (["--packet_rate", "3", "--sweep", "rate=1,2"], "sweep", "packet_rate"),
+    ],
+    ids=["width-then-area", "area-then-width", "sweep-speed", "sweep-rate"],
 )
-def test_cli_field_set_by_two_flags_exits_2_naming_both(tmp_path, capsys, argv):
+def test_cli_field_set_by_two_flags_exits_2_naming_both(tmp_path, capsys, argv, flag, field):
     # argparse keeps no order between flags, so either order must fail the
     # same way rather than let one flag silently win.
     assert main([*argv, "--out", str(tmp_path / "o")]) == 2
-    assert "--area: area_width is already set by --area_width" in capsys.readouterr().err
+    assert f"--{flag}: {field} is already set by --{field}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -406,6 +413,25 @@ def test_cli_trace_writes_trace_files(fast_cfg_file, tmp_path):
             with open(out / name, newline="") as fh:
                 assert next(csv.reader(fh)) == header, name
     assert len(names) == 10, names
+
+
+def test_cli_traced_sweep_keeps_values_that_agree_to_six_digits_apart(tmp_path):
+    # Both values print as 10 with :g, so one cell's traces overwrote the other's.
+    out = tmp_path / "out"
+    assert main([
+        "--protocol", "cbrp", "--sweep", "speed=10.0000001,10.0000002", "--seeds", "1",
+        "--node_count", "6", "--area", "300x300", "--sim_duration", "3",
+        "--flow_count", "1", "--trace", "--out", str(out),
+    ]) == 0
+    sweep_files = {"runs.csv", "summary.csv", "report.txt", "config.txt"}
+    traces = {p.name for p in out.iterdir()} - sweep_files
+    assert len(traces) == 10, traces
+    assert {n for n in traces if n.startswith("flows_")} == {
+        "flows_cbrp_seed0_v10.0000001_r4.csv", "flows_cbrp_seed0_v10.0000002_r4.csv"
+    }
+    labels = [line.split()[0] for line in (out / "report.txt").read_text().splitlines()
+              if line.endswith(")") and "cbrp" in line]
+    assert labels == ["10.0000001", "10.0000002"]
 
 
 def test_entry_point_installed():

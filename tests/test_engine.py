@@ -12,7 +12,6 @@ from cbrsim.clustering import build_hello, table_snapshot
 from cbrsim.config import Protocol, ScenarioConfig
 from cbrsim.engine import EventKind, Simulation
 from cbrsim.errors import InvariantError
-from cbrsim.metrics import FATE_NO_ROUTE, FATE_QUEUE
 from cbrsim.mobility import WaypointLeg
 from cbrsim.routing import RouteRequestPacket, control_size_bytes
 from cbrsim.traffic import DataPacket
@@ -465,10 +464,10 @@ def test_classified_packets_leave_the_in_flight_map():
     sim = Simulation(make_cfg())
     packet = DataPacket(flow_id=0, src=0, dst=1, size_bytes=512, created_at=0.0)
     sim._in_flight[id(packet)] = packet
-    sim._drop_data(packet, FATE_QUEUE)
+    sim._classify(packet)
     assert sim._in_flight == {}
     with pytest.raises(InvariantError, match="classified twice"):
-        sim._drop_data(packet, FATE_NO_ROUTE)
+        sim._classify(packet)
 
 
 def test_horizon_sweep_empties_the_in_flight_map():

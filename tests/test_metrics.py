@@ -101,7 +101,7 @@ def test_conservation_enforced():
     led.record_delivery(0.01, 512)
     with pytest.raises(InvariantError):
         finalize(led, finalize_cfg())
-    led.record_drop("drop_queue")
+    led.drop_queue += 1
     led.in_flight_at_horizon = 1
     report = finalize(led, finalize_cfg())
     assert report.data_sent == 3
@@ -111,7 +111,7 @@ def test_csv_row_round_trip():
     led = fresh_ledger()
     led.data_sent = 2
     led.record_delivery(0.25, 512)
-    led.record_drop("drop_no_route")
+    led.drop_no_route += 1
     led.hello_sent = 10
     report = finalize(led, finalize_cfg())
     assert report_from_row(report_to_row(report)) == report
@@ -125,7 +125,7 @@ def sample_report(seed=0, protocol="cbrp", ch=10, pdr=0.9, **kw):
     led.data_sent = 10
     for _ in range(9):
         led.record_delivery(0.1, 512)
-    led.record_drop("drop_no_route")
+    led.drop_no_route += 1
     led.ch_changes = ch
     cfg = make_cfg(
         rng_seed=seed,

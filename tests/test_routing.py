@@ -158,6 +158,8 @@ def test_node_with_target_as_bidirectional_neighbor_replies():
     add_neighbor(head, 5, role=Role.MEMBER)
     result = process_rreq(head, rreq(5, (9,)))
     assert result.reply.route == (9, 1, 5)
+    assert result.reply.next_hop == 9
+    assert result.reply.size_bytes == control_size_bytes(3)
 
 
 def test_head_forwards_one_copy_per_neighboring_cluster():

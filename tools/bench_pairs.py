@@ -7,7 +7,9 @@
         --tier1 --json BENCH.json
 
 Each revision is exported with ``git archive`` into its own temporary tree, so
-neither side sees the working copy.  Pair ``i`` runs
+neither side sees the working copy.  The two trees are ``<tmp>/parent`` and
+``<tmp>/change``: paths of equal length, because a perfbench worker compiles
+the package from source and its peak RSS moves with the length of the path.  Pair ``i`` runs
 ``perfbench/run.py --workload W --seed i --trace 0`` once in each tree, the
 base first in odd pairs and the change first in even ones, so a slow spell of
 the host falls on both sides.  The script prints every pair, then per
@@ -175,7 +177,7 @@ def main(argv: list[str] | None = None) -> int:
 
     repo = Path(__file__).resolve().parent.parent
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs_"))
-    sides = {"base": scratch / "base", "change": scratch / "change"}
+    sides = {"base": scratch / "parent", "change": scratch / "change"}
     pool = "held-out" if args.held_out else "main"
     report = {"base": args.base, "change": args.change, "pool": pool, "pairs": args.pairs}
     report["workloads"] = {}
