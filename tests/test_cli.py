@@ -266,7 +266,7 @@ def test_cli_unknown_sweep_axis_exits_2(fast_cfg_file, tmp_path):
     [
         (["--area_width", "600", "--area", "500x400"], "area", "area_width"),
         (["--area", "500x400", "--area_width", "600"], "area", "area_width"),
-        # The sweep sets its field in every cell, so the flag's value was
+        # The sweep sets its field in every cell, so the flag's value would be
         # recorded in config.txt and report.txt yet used by no run.
         (["--sweep", "speed=5,10", "--max_speed", "30"], "sweep", "max_speed"),
         (["--packet_rate", "3", "--sweep", "rate=1,2"], "sweep", "packet_rate"),
@@ -416,7 +416,7 @@ def test_cli_trace_writes_trace_files(fast_cfg_file, tmp_path):
 
 
 def test_cli_traced_sweep_keeps_values_that_agree_to_six_digits_apart(tmp_path):
-    # Both values print as 10 with :g, so one cell's traces overwrote the other's.
+    # Both values print as 10 with :g; each cell still needs its own trace files.
     out = tmp_path / "out"
     assert main([
         "--protocol", "cbrp", "--sweep", "speed=10.0000001,10.0000002", "--seeds", "1",

@@ -9,10 +9,10 @@
 Each revision is exported with ``git archive`` into its own temporary tree, so
 neither side sees the working copy.  The two trees are ``<tmp>/parent`` and
 ``<tmp>/change``: paths of equal length, because a perfbench worker compiles
-the package from source and its peak RSS moves with the length of the path.  Pair ``i`` runs
-``perfbench/run.py --workload W --seed i --trace 0`` once in each tree, the
-base first in odd pairs and the change first in even ones, so a slow spell of
-the host falls on both sides.  The script prints every pair, then per
+the package from source and its peak RSS moves with the length of the path.
+Pair ``i`` runs ``perfbench/run.py --workload W --seed i --trace 0`` once in
+each tree, the base first in odd pairs and the change first in even ones, so a
+slow spell of the host falls on both sides.  The script prints every pair, then per
 end-to-end metric each side's median and quartiles and in how many pairs the
 change did better (all four metrics are lower-is-better), and whether the
 change meets the claim rule: at least 9/10 wins and a median drop larger than
