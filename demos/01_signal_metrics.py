@@ -6,28 +6,30 @@ neighbor is approaching or receding; and the mean of squared ratios over a
 whole neighborhood summarizes how much the local topology is churning.
 """
 
-from cbrsim import aggregate_mobility, received_power, relative_mobility
+from cbrsim import aggregate_mobility, relative_mobility
+from cbrsim.radio import channel_gain
 
 N = 2.0  # path-loss exponent: inverse-square law
 
+# At unit transmit power the received power equals the channel gain.
 print("received power vs distance (unit transmit power, inverse-square law)")
 for distance in (1, 10, 50, 125, 250):
-    power = received_power(N, 1.0, float(distance))
+    power = channel_gain(N, float(distance))
     print(f"  {distance:>4} m -> {power:.3e}")
 
 print()
 print("doubling the distance always divides power by 2^n:")
 for n in (2.0, 3.0, 4.0):
-    ratio = received_power(n, 1.0, 100.0) / received_power(n, 1.0, 200.0)
+    ratio = channel_gain(n, 100.0) / channel_gain(n, 200.0)
     print(f"  n={n:g}: ratio = {ratio:.6f} (expected {2**n:g})")
 
 print()
 print("relative mobility from successive hello receptions (dB):")
 pairs = [
-    ("approaching fast ", received_power(N, 1.0, 240.0), received_power(N, 1.0, 120.0)),
-    ("approaching slow ", received_power(N, 1.0, 130.0), received_power(N, 1.0, 120.0)),
-    ("holding distance ", received_power(N, 1.0, 120.0), received_power(N, 1.0, 120.0)),
-    ("receding         ", received_power(N, 1.0, 120.0), received_power(N, 1.0, 200.0)),
+    ("approaching fast ", channel_gain(N, 240.0), channel_gain(N, 120.0)),
+    ("approaching slow ", channel_gain(N, 130.0), channel_gain(N, 120.0)),
+    ("holding distance ", channel_gain(N, 120.0), channel_gain(N, 120.0)),
+    ("receding         ", channel_gain(N, 120.0), channel_gain(N, 200.0)),
 ]
 samples = []
 for label, old, new in pairs:

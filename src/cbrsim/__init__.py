@@ -18,7 +18,6 @@ from .clustering import aggregate_mobility, relative_mobility
 from .config import Protocol, ScenarioConfig
 from .engine import Simulation
 from .metrics import RunReport
-from .radio import received_power
 
 _HARNESS_NAMES = ("ExperimentPlan", "SweepAxis", "run_sweep")
 
@@ -30,7 +29,6 @@ __all__ = [
     "Simulation",
     "SweepAxis",
     "aggregate_mobility",
-    "received_power",
     "relative_mobility",
     "run_sweep",
 ]

@@ -13,7 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import astuple, dataclass, fields
+from contextlib import ExitStack
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -36,7 +37,6 @@ from .metrics import (
     report_from_row,
     report_to_row,
 )
-from .traffic import Flow
 
 # Headline improvement figures from the protocols' original evaluation,
 # echoed in report.txt as context only; nothing is gated on them.
@@ -78,6 +78,8 @@ class ExperimentPlan:
         lists = {"protocols": self.protocols, "seeds": self.seeds}
         if self.axis is not SweepAxis.NONE:
             lists["values"] = self.values
+        elif self.values:  # no cell would run them
+            raise ConfigError(f"values {self.values!r} need a sweep axis")
         for name, items in lists.items():
             if not items or len(set(items)) < len(items):
                 raise ConfigError(f"{name} must be non-empty and distinct, got {items!r}")
@@ -127,9 +129,11 @@ def run_sweep(
 
     ``config.txt`` records the plan's base config.  With ``resume``, cells
     already present in runs.csv are reused instead of re-simulated, provided
-    ``config.txt`` holds the same base config.  A cell that breaches an
-    invariant leaves its own config in ``invariant_config.txt``: the run is
-    deterministic, so that file replays the breach.
+    ``config.txt`` holds the same base config.  With ``trace``, each simulated
+    cell writes one CSV per ``TRACE_HEADERS`` stem as it runs.  A cell that
+    breaches an invariant leaves its own config in ``invariant_config.txt``,
+    and its trace rows so far: the run is deterministic, so that file replays
+    the breach.
     """
     out = Path(out_dir)
     try:
@@ -158,27 +162,38 @@ def run_sweep(
             key = (cfg.protocol.value, cfg.rng_seed, cfg.max_speed, cfg.packet_rate)
             report = existing.get(key)
             if report is None:
-                sim = None
-                try:
-                    sim = Simulation(cfg, trace=trace)
-                    report = sim.run()
-                except InvariantError:
-                    (out / "invariant_config.txt").write_text(
-                        serialize_config(cfg), encoding="utf-8"
-                    )
-                    raise
-                finally:
-                    if trace and sim is not None:
-                        _write_traces(sim, out, cfg)
+                with ExitStack() as trace_files:
+                    sinks = _open_trace_sinks(trace_files, out, cfg) if trace else None
+                    try:
+                        report = Simulation(cfg, trace=sinks).run()
+                    except InvariantError:
+                        (out / "invariant_config.txt").write_text(
+                            serialize_config(cfg), encoding="utf-8"
+                        )
+                        raise
             reports[(value, protocol.value, seed)] = report
             writer.writerow(report_to_row(report))
             fh.flush()
     cells = group_cells(read_runs_csv(runs_path), plan.axis)
-    summary = summarize_runs(cells)
+    summary = {key: aggregate(group) for key, group in cells.items()}
     result = SweepResult(plan=plan, reports=reports, summary=summary)
     write_summary_csv(out / "summary.csv", summary, plan.axis)
     (out / "report.txt").write_text(format_report(result, cells), encoding="utf-8")
     return result
+
+
+def _open_trace_sinks(stack: ExitStack, out: Path, cfg: ScenarioConfig) -> dict:
+    """Open one CSV per ``TRACE_HEADERS`` stem for ``cfg``'s run on ``stack``,
+    its header written, and return each file's row writer by stem."""
+    speed, rate = _number_text(cfg.max_speed), _number_text(cfg.packet_rate)
+    tag = f"{cfg.protocol.value}_seed{cfg.rng_seed}_v{speed}_r{rate}"
+    sinks = {}
+    for stem, header in TRACE_HEADERS.items():
+        fh = stack.enter_context(open(out / f"{stem}_{tag}.csv", "w", newline=""))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        sinks[stem] = writer.writerow
+    return sinks
 
 
 def read_runs_csv(path: str | Path) -> list[RunReport]:
@@ -208,11 +223,6 @@ def group_cells(reports: list[RunReport], axis: SweepAxis) -> dict[tuple, list[R
     return dict(sorted(cells.items(), key=lambda kv: (kv[0][0] is None, kv[0])))
 
 
-def summarize_runs(cells: dict[tuple, list[RunReport]]) -> dict:
-    """Aggregate each cell of ``group_cells``."""
-    return {key: aggregate(group) for key, group in cells.items()}
-
-
 def write_summary_csv(path: Path, summary: dict, axis: SweepAxis) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -237,7 +247,7 @@ def format_report(result: SweepResult, cells: dict[tuple, list[RunReport]]) -> s
     lines.append("base configuration:")
     for cfg_line in serialize_config(plan.base).strip().splitlines():
         lines.append(f"  {cfg_line}")
-    if plan.base.flow_count_was_defaulted:
+    if plan.base.flow_count is None:
         lines.append(
             f"  # flow_count defaulted to {plan.base.effective_flow_count} "
             "(disjoint endpoints capped at node_count/2, at most 50)"
@@ -283,18 +293,6 @@ def format_report(result: SweepResult, cells: dict[tuple, list[RunReport]]) -> s
             lines.append(f"  {name}: {text}")
     lines.append("")
     return "\n".join(lines)
-
-
-def _write_traces(sim: Simulation, out: Path, cfg: ScenarioConfig) -> None:
-    speed, rate = _number_text(cfg.max_speed), _number_text(cfg.packet_rate)
-    tag = f"{cfg.protocol.value}_seed{cfg.rng_seed}_v{speed}_r{rate}"
-    tables = {stem: (header, sim.trace[stem]) for stem, header in TRACE_HEADERS.items()}
-    tables["flows"] = ([f.name for f in fields(Flow)], map(astuple, sim.flows))
-    for stem, (header, rows) in tables.items():
-        with open(out / f"{stem}_{tag}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
 
 
 class _Once(argparse.Action):

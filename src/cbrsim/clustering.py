@@ -177,14 +177,6 @@ class NodeClusterState:
                 count += 1
         return total / count if count else 0.0
 
-    @property
-    def warmup_until(self) -> float:
-        return WARMUP_ROUNDS * self.hello_interval
-
-    @property
-    def coverage_patience(self) -> float:
-        return self.neighbor_timeout + PATIENCE_EXTRA_ROUNDS * self.hello_interval
-
 
 class ElectionOutcome:
     """The role transition of one election step, and whether it calls for a
@@ -371,7 +363,8 @@ def _competitors(state: NodeClusterState, now: float):
     Every neighbor counts, members included, until the node has waited out
     the coverage patience; after that, member-role neighbors no longer block.
     """
-    relax = (now - state.undecided_since) > state.coverage_patience
+    patience = state.neighbor_timeout + PATIENCE_EXTRA_ROUNDS * state.hello_interval
+    relax = (now - state.undecided_since) > patience
     return [
         e
         for e in state.neighbors.values()
@@ -422,7 +415,7 @@ def run_election(state: NodeClusterState, now: float) -> bool:
         _become_undecided(state, now)
         send = True
         # Fall through: a member that lost its last head re-elects now.
-    if now < state.warmup_until:
+    if now < WARMUP_ROUNDS * state.hello_interval:
         return send
     if heads:
         _become_member(state, heads)

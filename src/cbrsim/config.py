@@ -98,10 +98,6 @@ class ScenarioConfig:
         return min(50, self.node_count // 2)
 
     @property
-    def flow_count_was_defaulted(self) -> bool:
-        return self.flow_count is None
-
-    @property
     def effective_formation_grace(self) -> float:
         if self.formation_grace is not None:
             return self.formation_grace
@@ -112,10 +108,6 @@ class ScenarioConfig:
         if self.traffic_stop is not None:
             return self.traffic_stop
         return self.sim_duration
-
-    @property
-    def is_static(self) -> bool:
-        return self.max_speed == 0.0
 
     def with_overrides(self, **overrides) -> "ScenarioConfig":
         """Derived config with the given fields replaced (re-validated)."""

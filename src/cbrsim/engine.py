@@ -41,7 +41,7 @@ import itertools
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 
 from . import clustering, routing
@@ -91,13 +91,16 @@ _ACCEPTED = QueueOutcome.ACCEPTED
 _DROPPED_INCOMING = QueueOutcome.DROPPED_INCOMING
 _DROPPED_TAIL_DATA = QueueOutcome.DROPPED_TAIL_DATA
 
-# Columns of each trace CSV, by file stem.  A traced run fills ``Simulation.trace``
-# and samples every node's position and role every half hello interval.
+# Columns of each trace CSV, by file stem.  A traced run hands each row to its
+# stem's sink in ``Simulation.trace`` when the row happens (a flow's row at
+# construction), and samples every node's position and role every half hello
+# interval.
 TRACE_HEADERS = {
     "events": ("time", "node", "event_kind", "detail"),
     "mobility": ("time", "node_id", "x", "y"),
     "clusters": ("time", "node", "role", "head_id", "M_value"),
     "route_events": ("time", "event", "flow_id", "route_len"),
+    "flows": tuple(f.name for f in fields(Flow)),
 }
 
 
@@ -171,7 +174,7 @@ class Simulation:
         *,
         placement: list[tuple[float, float]] | None = None,
         flows: list[Flow] | None = None,
-        trace: bool = False,
+        trace: dict | None = None,
     ):
         self.cfg = cfg
         self.now = 0.0
@@ -209,9 +212,23 @@ class Simulation:
             flows = generate_flows(cfg, random.Random(f"{seed}:flows"))
         self.flows: list[Flow] = flows
         self._in_flight: dict[int, DataPacket] = {}  # id -> emitted, not yet classified
-        # Trace rows by file stem (``TRACE_HEADERS``); None turns every hook off.
-        self.trace = {stem: [] for stem in TRACE_HEADERS} if trace else None
-        self._schedule_initial_events()
+        # One row sink per ``TRACE_HEADERS`` stem; None turns every hook off.
+        self.trace = trace
+        if trace is not None:
+            for flow in flows:
+                trace["flows"](astuple(flow))
+        for node in self.nodes:
+            if math.isfinite(node.leg.pause_until):
+                self.schedule(node.leg.pause_until, _WAYPOINT_ARRIVAL, (node.node_id,))
+            offset = node.hello_rng.uniform(0.0, cfg.hello_interval)
+            self.schedule(offset, _HELLO_TIMER, (node.node_id,))
+            self.schedule(cfg.hello_interval / 2.0, _NEIGHBOR_EXPIRY_SCAN, (node.node_id,))
+        stop = cfg.effective_traffic_stop
+        for idx, flow in enumerate(flows):
+            if flow.start_time < stop:
+                self.schedule(flow.start_time, _TRAFFIC_EMIT, (idx, 0))
+        if trace is not None:
+            self.schedule(0.0, EventKind.TRACE_SAMPLE, ())
 
     # -- scheduling ---------------------------------------------------------
 
@@ -221,21 +238,6 @@ class Simulation:
                 f"scheduling into the past: t={time} < now={self.now} ({kind})"
             )
         heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
-
-    def _schedule_initial_events(self) -> None:
-        cfg = self.cfg
-        for node in self.nodes:
-            if math.isfinite(node.leg.pause_until):
-                self.schedule(node.leg.pause_until, _WAYPOINT_ARRIVAL, (node.node_id,))
-            offset = node.hello_rng.uniform(0.0, cfg.hello_interval)
-            self.schedule(offset, _HELLO_TIMER, (node.node_id,))
-            self.schedule(cfg.hello_interval / 2.0, _NEIGHBOR_EXPIRY_SCAN, (node.node_id,))
-        stop = cfg.effective_traffic_stop
-        for idx, flow in enumerate(self.flows):
-            if flow.start_time < stop:
-                self.schedule(flow.start_time, _TRAFFIC_EMIT, (idx, 0))
-        if self.trace is not None:
-            self.schedule(0.0, EventKind.TRACE_SAMPLE, ())
 
     # -- run loop -----------------------------------------------------------
 
@@ -308,7 +310,7 @@ class Simulation:
                 self.ledger.drop_forward_fail += 1
                 self.nodes[packet.src].router.cache.pop(packet.dst, None)
                 if self.trace is not None:
-                    self.trace["route_events"].append(
+                    self.trace["route_events"](
                         (now, "route_break", packet.flow_id, len(packet.route or ()))
                     )
         if queue._control or queue._data:
@@ -316,7 +318,7 @@ class Simulation:
             busy_until = now + head.size_bytes * 8.0 / self._link_rate
             self.schedule(busy_until, _TRANSMIT_COMPLETE, (node_id,))
         if self.trace is not None:
-            self.trace["events"].append((now, node_id, "transmit_complete", kind.__name__))
+            self.trace["events"]((now, node_id, "transmit_complete", kind.__name__))
         if reachable:
             # Receive now unless an event is due first (module docstring).
             heap = self._heap
@@ -338,7 +340,7 @@ class Simulation:
         node = self.nodes[recipient]
         trace = self.trace
         if trace is not None:
-            trace["events"].append((self.now, recipient, "receive", kind.__name__))
+            trace["events"]((self.now, recipient, "receive", kind.__name__))
         if kind is RouteRequestPacket:
             result = routing.process_rreq(node.cluster, packet)
             if result.reply is not None:
@@ -352,7 +354,7 @@ class Simulation:
             else:
                 route = packet.route
                 if trace is not None:
-                    trace["route_events"].append((self.now, "rrep_recv", route[-1], len(route)))
+                    trace["route_events"]((self.now, "rrep_recv", route[-1], len(route)))
                 self._route_installed(node, route[-1])
         else:
             successor = routing.forward_data(node.cluster, packet)
@@ -360,7 +362,7 @@ class Simulation:
                 self._classify(packet)
                 self.ledger.record_delivery(self.now - packet.created_at, packet.size_bytes)
                 if trace is not None:
-                    trace["route_events"].append(
+                    trace["route_events"](
                         (self.now, "delivery", packet.flow_id, len(packet.route))
                     )
             else:
@@ -396,7 +398,7 @@ class Simulation:
             # Same bits as math.dist(sender position, receiver position).
             distance = hypot(dx, dy)
             if trace is not None:
-                trace.append((now, node.node_id, "receive", "HelloMessage"))
+                trace((now, node.node_id, "receive", "HelloMessage"))
             rx_power = tx_power * gain(exponent, d0 if distance < d0 else distance, rng)
             outcome = receive(node.cluster, hello, rx_power, now)
             if outcome.changed or outcome.send_hello:
@@ -485,7 +487,7 @@ class Simulation:
         for packet in result.packets:
             self._enqueue_packet(node, packet)
         if self.trace is not None:
-            self.trace["route_events"].append(
+            self.trace["route_events"](
                 (self.now, "rreq_sent", destination, len(result.packets))
             )
         self.schedule(
@@ -536,12 +538,12 @@ class Simulation:
         ]
 
     def _on_trace_sample(self) -> None:
-        now = self.now
+        now, trace = self.now, self.trace
         for node in self.nodes:
             x, y = position_at(node.leg, now)
-            self.trace["mobility"].append((now, node.node_id, x, y))
+            trace["mobility"]((now, node.node_id, x, y))
         for node_id, role, heads, mobility in self.cluster_snapshot():
-            self.trace["clusters"].append((now, node_id, role, ";".join(map(str, heads)), mobility))
+            trace["clusters"]((now, node_id, role, ";".join(map(str, heads)), mobility))
         self.schedule(now + self.cfg.hello_interval / 2.0, EventKind.TRACE_SAMPLE, ())
 
     # Event dispatch: each kind's handler, called with the event's payload.

@@ -55,7 +55,7 @@ def next_leg(
     Draw order is destination x, destination y, speed; keep it fixed so that
     seeded runs stay reproducible.
     """
-    if cfg.is_static:
+    if cfg.max_speed == 0.0:  # static scenario: nodes hold their positions
         return WaypointLeg(current, current, 0.0, now, now, math.inf)
     dest = (rng.uniform(0.0, cfg.area_width), rng.uniform(0.0, cfg.area_height))
     speed = rng.uniform(cfg.min_speed, cfg.max_speed)

@@ -36,15 +36,3 @@ def channel_gain(
     if fading_rng is not None:
         gain *= fading_rng.expovariate(1.0)
     return gain
-
-
-def received_power(
-    path_loss_exponent: float,
-    tx_power: float,
-    distance: float,
-    fading_rng: random.Random | None = None,
-) -> float:
-    """Received power for a transmission at ``tx_power`` over ``distance``."""
-    if tx_power <= 0:
-        raise ValueError(f"tx_power must be > 0, got {tx_power}")
-    return tx_power * channel_gain(path_loss_exponent, distance, fading_rng)

@@ -16,7 +16,7 @@ from cbrsim.cli import ExperimentPlan, SweepAxis, run_sweep
 from cbrsim.config import Protocol, ScenarioConfig, generate_initial_placement
 from cbrsim.engine import Simulation
 from cbrsim.metrics import SUMMARY_METRICS
-from cbrsim.radio import received_power
+from cbrsim.radio import channel_gain
 from conftest import bidirectional_disc_adjacency, child_env, is_connected, route_spy
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -102,7 +102,7 @@ def test_criterion_1_formula_oracles():
             ok &= math.isclose(got, want, rel_tol=1e-9)
     for n in (2.0, 3.0, 4.0):
         for x in (1.0, 50.0, 250.0):
-            ratio = received_power(n, 1.0, x) / received_power(n, 1.0, 2 * x)
+            ratio = channel_gain(n, x) / channel_gain(n, 2 * x)
             ok &= math.isclose(ratio, 2.0**n, rel_tol=1e-9)
     detail.append("relative/aggregate mobility and distance-ratio law at 1e-9")
     announce(1, ok, "; ".join(detail), started)

@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,13 +16,12 @@ from cbrsim.cli import (
     group_cells,
     read_runs_csv,
     run_sweep,
-    summarize_runs,
 )
 import cbrsim.engine
 from cbrsim.config import Protocol, ScenarioConfig, parse_config
 from cbrsim.engine import TRACE_HEADERS
 from cbrsim.errors import ConfigError, InvariantError
-from cbrsim.metrics import CSV_COLUMNS
+from cbrsim.metrics import CSV_COLUMNS, aggregate
 from cbrsim.traffic import Flow
 from conftest import child_env
 
@@ -110,7 +110,8 @@ def test_summary_recomputable_from_runs_csv(fast_cfg_file, tmp_path):
         "--sweep", "speed=5,10", "--seeds", "2", "--out", str(out),
     ])
     rows = read_runs_csv(out / "runs.csv")
-    recomputed = summarize_runs(group_cells(rows, SweepAxis.MAX_SPEED))
+    cells = group_cells(rows, SweepAxis.MAX_SPEED)
+    recomputed = {key: aggregate(group) for key, group in cells.items()}
     with open(out / "summary.csv", newline="") as fh:
         written = list(csv.reader(fh))
     body = written[1:]
@@ -325,6 +326,16 @@ def test_plan_rejects_a_repeated_value_protocol_or_seed(field, repeated):
         ExperimentPlan(**dict(plan, **{field: ()}))
 
 
+def test_plan_without_a_sweep_axis_refuses_values():
+    # Accepted, the values would never run: cells() yields one cell, and
+    # report.txt says "sweep axis: none".
+    with pytest.raises(ConfigError, match=r"values \(5\.0, 10\.0\) need a sweep axis"):
+        ExperimentPlan(
+            base=ScenarioConfig(), axis=SweepAxis.NONE, values=(5.0, 10.0),
+            protocols=(Protocol.CBRP,), seeds=(0,),
+        )
+
+
 @pytest.mark.parametrize(
     "values, message",
     [("5,5.0", "values must be non-empty and distinct, got (5.0, 5.0)"),
@@ -432,6 +443,30 @@ def test_cli_traced_sweep_keeps_values_that_agree_to_six_digits_apart(tmp_path):
     labels = [line.split()[0] for line in (out / "report.txt").read_text().splitlines()
               if line.endswith(")") and "cbrp" in line]
     assert labels == ["10.0000001", "10.0000002"]
+
+
+def test_traced_sweep_peak_memory_does_not_grow_with_duration(tmp_path):
+    # Trace rows go to their files as the run makes them.  Rows held until
+    # the run ends would more than double the peak of the 240 s run, which
+    # makes four times the 60 s run's rows; streamed, it stays within 10%.
+    base = ScenarioConfig(
+        node_count=6, area_width=300.0, area_height=300.0, max_speed=10.0,
+        min_speed=1.0, hello_interval=1.0, neighbor_timeout=3.0, flow_count=1,
+        packet_rate=1.0,
+    )
+    peaks = []
+    for duration in (60.0, 240.0):
+        plan = ExperimentPlan(
+            base=base.with_overrides(sim_duration=duration), axis=SweepAxis.NONE,
+            values=(), protocols=(Protocol.CBRP,), seeds=(0,),
+        )
+        tracemalloc.start()
+        try:
+            run_sweep(plan, tmp_path / f"t{duration:g}", trace=True)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0], peaks
 
 
 def test_entry_point_installed():

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from cbrsim.clustering import (
     _UNCHANGED,
+    PATIENCE_EXTRA_ROUNDS,
+    WARMUP_ROUNDS,
     Role,
     aggregate_mobility,
     build_hello,
@@ -209,11 +211,12 @@ def test_lid_blocked_by_lower_member_until_patience():
     state = make_state(3)
     state.undecided_since = 0.0
     add_neighbor(state, 2, role=Role.MEMBER)
-    early = state.warmup_until + 0.1
-    assert early < state.coverage_patience
+    patience = state.neighbor_timeout + PATIENCE_EXTRA_ROUNDS * state.hello_interval
+    early = WARMUP_ROUNDS * state.hello_interval + 0.1
+    assert early < patience
     run_election(state, early)
     assert state.role is Role.UNDECIDED
-    run_election(state, state.coverage_patience + 0.1)
+    run_election(state, patience + 0.1)
     assert state.role is Role.CLUSTER_HEAD
 
 

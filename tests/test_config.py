@@ -114,8 +114,8 @@ def test_flow_disjointness_constraint():
 def test_flow_count_defaulting():
     assert ScenarioConfig().effective_flow_count == 50
     assert ScenarioConfig(node_count=24).effective_flow_count == 12
-    assert ScenarioConfig().flow_count_was_defaulted
-    assert not ScenarioConfig(flow_count=10).flow_count_was_defaulted
+    assert ScenarioConfig().flow_count is None
+    assert ScenarioConfig(flow_count=10).flow_count == 10
 
 
 def test_path_loss_exponent_bounds():
@@ -147,7 +147,7 @@ def test_constructor_keeps_an_int_for_a_float_field_and_none_for_an_optional():
 
 def test_static_scenario_requires_both_speeds_zero():
     cfg = ScenarioConfig(max_speed=0.0, min_speed=0.0)
-    assert cfg.is_static
+    assert (cfg.max_speed, cfg.min_speed) == (0.0, 0.0)
     with pytest.raises(ConfigError):
         ScenarioConfig(max_speed=0.0, min_speed=0.5)
 

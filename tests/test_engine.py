@@ -10,7 +10,7 @@ import cbrsim.clustering
 import cbrsim.engine
 from cbrsim.clustering import build_hello, table_snapshot
 from cbrsim.config import Protocol, ScenarioConfig
-from cbrsim.engine import EventKind, Simulation
+from cbrsim.engine import TRACE_HEADERS, EventKind, Simulation
 from cbrsim.errors import InvariantError
 from cbrsim.mobility import WaypointLeg
 from cbrsim.routing import RouteRequestPacket, control_size_bytes
@@ -235,12 +235,12 @@ def test_run_is_single_shot():
 def test_trace_collects_samples():
     # Traced runs sample every half hello interval.
     cfg = make_cfg(sim_duration=10.0, hello_interval=4.0)
-    sim = Simulation(cfg, trace=True)
-    sim.run()
-    times = sorted({row[0] for row in sim.trace["mobility"]})
+    rows = {stem: [] for stem in TRACE_HEADERS}
+    Simulation(cfg, trace={stem: rows[stem].append for stem in rows}).run()
+    times = sorted({row[0] for row in rows["mobility"]})
     assert times == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0]
-    assert len(sim.trace["clusters"]) == len(sim.trace["mobility"])
-    assert sim.trace["events"]
+    assert len(rows["clusters"]) == len(rows["mobility"])
+    assert rows["events"]
 
 
 def test_untraced_run_has_no_trace_and_never_schedules_a_sample():
@@ -439,17 +439,18 @@ def test_hello_reaches_a_node_exactly_at_range(monkeypatch):
 def test_traced_fan_out_keeps_one_receive_row_per_receiver():
     # Catches a trace row written once per fan-out event instead of once per
     # receiver, and receivers handled out of id order.
-    sim = _hello_only_static_sim(trace=True)
+    rows = {stem: [] for stem in TRACE_HEADERS}
+    sim = _hello_only_static_sim(trace={stem: rows[stem].append for stem in rows})
     report = sim.run()
     n = sim.cfg.node_count
     sent = [
         (t, sender)
-        for t, sender, what, kind in sim.trace["events"]
+        for t, sender, what, kind in rows["events"]
         if what == "transmit_complete" and kind == "HelloMessage"
     ]
     received = [
         (t, node)
-        for t, node, what, kind in sim.trace["events"]
+        for t, node, what, kind in rows["events"]
         if what == "receive" and kind == "HelloMessage"
     ]
     assert len(sent) == report.hello_sent > 0
