@@ -33,12 +33,11 @@ Most hello receipts change nothing in the table's links and roles: the link
 and role a hello reports match the entry.  Such a receipt writes neither the
 entry's link and role nor the adjacent sets.  For a member, or a head with no
 adjacent head, it skips the election step and its invariant check as well, and
-so does an expiry scan that removes nothing.  That step would read only
-``adjacent_heads`` and ``head_ids``; only ``set_link_role``, an expiry removal
-or an earlier step writes them, and a step that leaves a node a member makes
-the two equal, so the last step that ran already left the outcome (a skipped
-step returns its role's shared ``_UNCHANGED`` one) and the invariants as they
-stand.  Undecided nodes and heads with an adjacent head also read the time and
+so does an expiry scan that removes nothing.  That step would read only the
+role and ``adjacent_heads``; only ``set_link_role``, an expiry removal or an
+earlier step writes them, so the last step that ran already left the outcome
+(a skipped step returns its role's shared ``_UNCHANGED`` one) and the
+invariants as they stand.  Undecided nodes and heads with an adjacent head also read the time and
 advertised mobility, so they step on every receipt and scan.
 
 Each node keeps, in place rather than rescanning its table per election or
@@ -48,7 +47,9 @@ role (``adjacent_members``, their table entries by id; a dict takes about half
 the memory of a set of twenty ids).  ``set_link_role`` is the only writer of an
 entry's ``bidirectional`` flag and role, and the only code that adds to either;
 ``on_hello_received`` calls it, and ``expire_neighbors`` discards the ids it
-removes.
+removes.  A node's own heads are not kept: as in CBRP's cluster state, a head
+lists itself, a member its adjacent heads and an undecided node none, so
+``NodeClusterState.head_ids`` derives them from the role.
 """
 
 from __future__ import annotations
@@ -154,7 +155,6 @@ class NodeClusterState:
     # both sides so that contending nodes reach consistent verdicts.
     broadcast_mobility: float = 0.0
     neighbors: dict[int, NeighborEntry] = field(default_factory=dict)
-    head_ids: set[int] = field(default_factory=set)
     undecided_since: float = 0.0
     # Neighbors with a bidirectional link and the head (member) role; see
     # set_link_role.
@@ -165,6 +165,16 @@ class NodeClusterState:
     _snapshot: tuple[NeighborTable, frozenset[int]] | None = field(
         default=None, init=False, repr=False
     )
+
+    @property
+    def head_ids(self) -> set[int]:
+        """The node's cluster heads, derived from its role: itself for a head,
+        a copy of ``adjacent_heads`` for a member, none for an undecided node."""
+        if self.role is CLUSTER_HEAD:
+            return {self.node_id}
+        if self.role is MEMBER:
+            return set(self.adjacent_heads)
+        return set()
 
     @property
     def own_mobility(self) -> float:
@@ -341,22 +351,6 @@ def set_link_role(
         heads.discard(nid)
 
 
-def _become_head(state: NodeClusterState) -> None:
-    state.role = CLUSTER_HEAD
-    state.head_ids = {state.node_id}
-
-
-def _become_member(state: NodeClusterState, heads: set[int]) -> None:
-    state.role = MEMBER
-    state.head_ids = set(heads)
-
-
-def _become_undecided(state: NodeClusterState, now: float) -> None:
-    state.role = UNDECIDED
-    state.head_ids = set()
-    state.undecided_since = now
-
-
 def _competitors(state: NodeClusterState, now: float):
     """Bidirectional neighbors an undecided node must beat to declare itself.
 
@@ -397,6 +391,8 @@ def run_election(state: NodeClusterState, now: float) -> bool:
     applies: a head steps down only to an adjacent head that outranks it, a
     member never challenges its head, and an undecided node joins any
     adjacent head or else declares itself when it outranks every competitor.
+    It writes only the role (and ``undecided_since``): a member's heads are
+    its ``adjacent_heads``.
 
     Returns True when the node should broadcast an immediate hello (it just
     declared itself head, or dropped back to undecided).
@@ -404,51 +400,41 @@ def run_election(state: NodeClusterState, now: float) -> bool:
     heads = state.adjacent_heads
     if state.role is CLUSTER_HEAD:
         if heads and not _outranks(state, [state.neighbors[h] for h in heads]):
-            _become_member(state, heads)
+            state.role = MEMBER
         return False
     send = False
     if state.role is MEMBER:
         if heads:
-            if state.head_ids != heads:
-                state.head_ids = set(heads)
             return False
-        _become_undecided(state, now)
+        state.role = UNDECIDED
+        state.undecided_since = now
         send = True
         # Fall through: a member that lost its last head re-elects now.
     if now < WARMUP_ROUNDS * state.hello_interval:
         return send
     if heads:
-        _become_member(state, heads)
+        state.role = MEMBER
     elif _outranks(state, _competitors(state, now)):
-        _become_head(state)
+        state.role = CLUSTER_HEAD
         send = True
     return send
 
 
 def check_invariants(state: NodeClusterState) -> None:
-    """Role/table consistency, asserted after every election step.
+    """Role/table consistency, asserted after every election step that runs.
 
-    Every member must hold a bidirectional link to each of its heads (the
-    2-hop cluster diameter), a head lists exactly itself, and an undecided
-    node lists nothing.
+    A member must have at least one adjacent head, and each id in its
+    ``adjacent_heads`` must be a bidirectional cluster-head entry (the 2-hop
+    cluster diameter).  A head's and an undecided node's heads follow from the
+    role alone (``NodeClusterState.head_ids``), so they need no check.
     """
-    if state.role is CLUSTER_HEAD:
-        if state.head_ids != {state.node_id}:
-            raise InvariantError(
-                f"node {state.node_id}: head must list itself, got {state.head_ids}"
-            )
-    elif state.role is MEMBER:
-        if not state.head_ids:
+    if state.role is MEMBER:
+        if not state.adjacent_heads:
             raise InvariantError(f"node {state.node_id}: member with no head")
-        for hid in state.head_ids:
+        for hid in state.adjacent_heads:
             e = state.neighbors.get(hid)
             if e is None or not e.bidirectional or e.role is not CLUSTER_HEAD:
                 raise InvariantError(
                     f"node {state.node_id}: head {hid} is not a bidirectional "
                     "cluster-head neighbor"
                 )
-    else:
-        if state.head_ids:
-            raise InvariantError(
-                f"node {state.node_id}: undecided node lists heads {state.head_ids}"
-            )

@@ -133,7 +133,7 @@ def _forward_targets(cluster: NodeClusterState, route: tuple[int, ...]) -> list[
                     break
         return sorted(out)
     if cluster.role is MEMBER:
-        own_heads = cluster.head_ids
+        own_heads = cluster.adjacent_heads
         for mid, entry in members.items():
             if mid not in exclude and entry.advertised_heads.isdisjoint(own_heads):
                 out.add(mid)  # member of a foreign cluster: gateway-pair hop
@@ -167,8 +167,8 @@ def originate_rreq(
     if cluster.role is CLUSTER_HEAD:
         # The source is its own head: no unicast hop, fan out directly.
         next_hops = _forward_targets(cluster, (node_id,))
-    else:  # an undecided node has no heads and sends nothing
-        next_hops = sorted(cluster.head_ids)
+    else:  # an undecided node sends nothing, even with adjacent heads in warm-up
+        next_hops = sorted(cluster.adjacent_heads) if cluster.role is MEMBER else []
     return OriginateResult(None, _make_copies(target, {node_id}, (node_id,), next_hops))
 
 

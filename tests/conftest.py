@@ -142,7 +142,7 @@ def set_neighbor_role(state: NodeClusterState, neighbor_id: int, role: Role) -> 
 def assert_election_settled(state: NodeClusterState, now: float) -> None:
     """A second election step at ``now`` changes nothing and the invariants
     hold: what an election step may skip when its inputs did not change."""
-    role, heads = state.role, set(state.head_ids)
+    role, heads = state.role, state.head_ids  # a copy: derived per read
     assert run_election(state, now) is False, f"node {state.node_id}: re-run asks for a hello"
     assert state.role is role, f"node {state.node_id}: re-run moved {role} to {state.role}"
     assert state.head_ids == heads, (

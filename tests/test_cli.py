@@ -160,6 +160,23 @@ def test_cli_resume_refuses_another_base_config(fast_cfg_file, tmp_path):
     assert (out / "runs.csv").read_bytes() == first
 
 
+def test_cli_resume_refuses_a_runs_csv_with_another_header(fast_cfg_file, tmp_path, capsys):
+    # The rows still parse, so only the header shows the columns mean
+    # something else (here a renamed column, as from another version).
+    out = tmp_path / "out"
+    common = ["--config", fast_cfg_file, "--protocol", "cbrp", "--seed", "3", "--out", out]
+    assert run_cli(common, tmp_path) == 0
+    runs = out / "runs.csv"
+    header, *rows = runs.read_text().splitlines()
+    assert header.startswith("protocol,")
+    runs.write_text("\n".join(["variant" + header.removeprefix("protocol"), *rows]) + "\n")
+    damaged = runs.read_bytes()
+    capsys.readouterr()
+    assert run_cli([*common, "--resume"], tmp_path) == 2
+    assert f"unexpected runs.csv header in {runs}" in capsys.readouterr().err
+    assert runs.read_bytes() == damaged
+
+
 def _with_seed(row, seed):
     protocol, _, rest = row.split(",", 2)
     return f"{protocol},{seed},{rest}"
@@ -339,12 +356,14 @@ def test_plan_without_a_sweep_axis_refuses_values():
 @pytest.mark.parametrize(
     "values, message",
     [("5,5.0", "values must be non-empty and distinct, got (5.0, 5.0)"),
-     ("5,inf", "max_speed is finite")],
-    ids=["repeat", "inf"],
+     ("5,inf", "max_speed is finite"),
+     ("5,fast", "bad sweep values '5,fast'")],
+    ids=["repeat", "inf", "not-a-number"],
 )
 def test_cli_repeated_sweep_value_exits_2(fast_cfg_file, tmp_path, capsys, values, message):
     # One cell run twice would read as two replicates with zero spread; a bad
-    # value in a later cell must fail before the earlier cells run.
+    # value in a later cell must fail before the earlier cells run.  Unchecked,
+    # a value that is not a number raises a ValueError out of main.
     out = tmp_path / "o"
     assert main([
         "--config", str(fast_cfg_file), "--sweep", f"speed={values}", "--out", str(out),

@@ -22,6 +22,7 @@ from cbrsim.clustering import (
     table_snapshot,
 )
 from cbrsim.config import Protocol
+from cbrsim.errors import InvariantError
 from cbrsim.routing import RouteRequestPacket, control_size_bytes, process_rreq
 from conftest import (
     add_neighbor,
@@ -179,13 +180,13 @@ def test_lid_isolated_node_heads_singleton():
 
 
 def test_lid_head_duel_higher_id_steps_down():
-    high = make_state(7, role=Role.CLUSTER_HEAD, head_ids={7})
+    high = make_state(7, role=Role.CLUSTER_HEAD)
     add_neighbor(high, 4, role=Role.CLUSTER_HEAD)
     run_election(high, AFTER_WARMUP)
     assert high.role is Role.MEMBER
     assert high.head_ids == {4}
 
-    low = make_state(4, role=Role.CLUSTER_HEAD, head_ids={4})
+    low = make_state(4, role=Role.CLUSTER_HEAD)
     add_neighbor(low, 7, role=Role.CLUSTER_HEAD)
     run_election(low, AFTER_WARMUP)
     assert low.role is Role.CLUSTER_HEAD
@@ -198,7 +199,7 @@ def test_lid_waits_for_warmup():
 
 
 def test_lid_member_never_challenges_head():
-    member = make_state(1, role=Role.MEMBER, head_ids={6})
+    member = make_state(1, role=Role.MEMBER)
     add_neighbor(member, 6, role=Role.CLUSTER_HEAD)
     add_neighbor(member, 9, role=Role.MEMBER)
     run_election(member, AFTER_WARMUP)
@@ -237,9 +238,7 @@ def test_lid_ignores_mobility_values():
         Role.CLUSTER_HEAD, Role.UNDECIDED, Role.UNDECIDED
     ]
 
-    head = make_state(
-        1, role=Role.CLUSTER_HEAD, head_ids={1}, broadcast_mobility=9.0
-    )
+    head = make_state(1, role=Role.CLUSTER_HEAD, broadcast_mobility=9.0)
     add_neighbor(head, 2, role=Role.CLUSTER_HEAD, advertised_mobility=0.5)
     run_election(head, AFTER_WARMUP)
     assert head.role is Role.CLUSTER_HEAD
@@ -281,7 +280,7 @@ def test_cross_total_tie_degenerates_to_lowest_id():
 
 def test_cross_head_duel_lower_value_survives():
     stable = make_state(
-        9, protocol=Protocol.CROSS_CBRP, role=Role.CLUSTER_HEAD, head_ids={9},
+        9, protocol=Protocol.CROSS_CBRP, role=Role.CLUSTER_HEAD,
         broadcast_mobility=2.0,
     )
     add_neighbor(stable, 1, role=Role.CLUSTER_HEAD, advertised_mobility=5.0)
@@ -289,7 +288,7 @@ def test_cross_head_duel_lower_value_survives():
     assert stable.role is Role.CLUSTER_HEAD
 
     mobile = make_state(
-        1, protocol=Protocol.CROSS_CBRP, role=Role.CLUSTER_HEAD, head_ids={1},
+        1, protocol=Protocol.CROSS_CBRP, role=Role.CLUSTER_HEAD,
         broadcast_mobility=5.0,
     )
     add_neighbor(mobile, 9, role=Role.CLUSTER_HEAD, advertised_mobility=2.0)
@@ -303,7 +302,7 @@ def test_cross_head_steps_down_on_a_receipt_that_changes_only_mobility():
     # advertised value (5.0 -> 1.0 against our 2.0): a head with an adjacent
     # head must still run its election step on it.
     head = make_state(
-        9, protocol=Protocol.CROSS_CBRP, role=Role.CLUSTER_HEAD, head_ids={9},
+        9, protocol=Protocol.CROSS_CBRP, role=Role.CLUSTER_HEAD,
         broadcast_mobility=2.0,
     )
     rival_table = {9: (True, Role.CLUSTER_HEAD)}
@@ -319,7 +318,7 @@ def test_cross_head_steps_down_on_a_receipt_that_changes_only_mobility():
 def test_cross_member_with_lower_value_does_not_challenge():
     # least-cluster-change damping: a calmer member near a busier head stays put
     member = make_state(
-        5, protocol=Protocol.CROSS_CBRP, role=Role.MEMBER, head_ids={2},
+        5, protocol=Protocol.CROSS_CBRP, role=Role.MEMBER,
         broadcast_mobility=0.5,
     )
     add_neighbor(member, 2, role=Role.CLUSTER_HEAD, advertised_mobility=3.0)
@@ -349,7 +348,7 @@ def test_expire_keeps_fresh_entries():
 
 
 def test_expire_sole_head_triggers_reelection():
-    member = make_state(3, role=Role.MEMBER, head_ids={9})
+    member = make_state(3, role=Role.MEMBER)
     add_neighbor(member, 9, role=Role.CLUSTER_HEAD, expires_at=5.0)
     removed, outcome = expire_neighbors(member, now=AFTER_WARMUP)
     assert removed == [9]
@@ -358,7 +357,7 @@ def test_expire_sole_head_triggers_reelection():
 
 
 def test_expire_head_keeps_singleton_cluster():
-    head = make_state(2, role=Role.CLUSTER_HEAD, head_ids={2})
+    head = make_state(2, role=Role.CLUSTER_HEAD)
     add_neighbor(head, 5, role=Role.MEMBER, expires_at=1.0)
     removed, outcome = expire_neighbors(head, now=AFTER_WARMUP)
     assert removed == [5]
@@ -382,8 +381,8 @@ def test_adjacent_heads_resolve_within_one_hello_exchange():
     # two standing heads discover each other; the losing side steps down the
     # moment it processes the winner's hello, so the overlap never outlives
     # one hello round
-    a = make_state(3, role=Role.CLUSTER_HEAD, head_ids={3})
-    b = make_state(8, role=Role.CLUSTER_HEAD, head_ids={8})
+    a = make_state(3, role=Role.CLUSTER_HEAD)
+    b = make_state(8, role=Role.CLUSTER_HEAD)
     add_neighbor(a, 8)  # entries exist so the hellos read as bidirectional
     add_neighbor(b, 3)
     # hellos cross in flight: both still advertise the head role
@@ -402,7 +401,7 @@ def test_adjacent_heads_resolve_within_one_hello_exchange():
 def test_gateway_set_member_bridging_two_clusters():
     # member 4 of head 1 hears head 6 of another cluster; member 2 hears no
     # one outside, so a head's request copy goes through 4 alone
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
+    head = make_state(1, role=Role.CLUSTER_HEAD)
     add_neighbor(
         head, 4, role=Role.MEMBER,
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
@@ -423,16 +422,33 @@ def test_gateway_set_member_bridging_two_clusters():
 
 
 def test_invariant_checker_rejects_member_without_bidirectional_head():
-    bad = make_state(1, role=Role.MEMBER, head_ids={2})
+    bad = make_state(1, role=Role.MEMBER)
     add_neighbor(bad, 2, bidirectional=False, role=Role.CLUSTER_HEAD)
-    with pytest.raises(Exception):
+    with pytest.raises(InvariantError, match="node 1: member with no head"):
+        check_invariants(bad)
+
+
+@pytest.mark.parametrize(
+    "link",
+    [None, (False, Role.CLUSTER_HEAD), (True, Role.MEMBER), (True, Role.UNDECIDED)],
+    ids=["no-entry", "one-way-head", "member", "undecided"],
+)
+def test_invariant_checker_rejects_adjacent_heads_that_drift_from_the_table(link):
+    # adjacent_heads lists 2, written past set_link_role, while the table
+    # holds no bidirectional head entry for it; head 3 is a real one.
+    bad = make_state(1, role=Role.MEMBER)
+    add_neighbor(bad, 3, role=Role.CLUSTER_HEAD)
+    if link is not None:
+        add_neighbor(bad, 2, bidirectional=link[0], role=link[1])
+    bad.adjacent_heads.add(2)
+    with pytest.raises(InvariantError, match="node 1: head 2 is not a bidirectional"):
         check_invariants(bad)
 
 
 def test_invariant_checker_accepts_consistent_states():
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
+    head = make_state(1, role=Role.CLUSTER_HEAD)
     check_invariants(head)
-    member = make_state(2, role=Role.MEMBER, head_ids={1})
+    member = make_state(2, role=Role.MEMBER)
     add_neighbor(member, 1, role=Role.CLUSTER_HEAD)
     check_invariants(member)
     check_invariants(make_state(3))
@@ -504,8 +520,6 @@ def test_caches_match_their_sources(protocol, steps):
         }
         assert state.adjacent_members.keys() == members.keys()
         assert all(state.adjacent_members[nid] is e for nid, e in members.items())
-        if state.role is Role.MEMBER:
-            assert state.head_ids == state.adjacent_heads
         # What a step whose inputs did not change may skip.
         assert_election_settled(state, now)
         # The kept hello table: rebuilt after a link, role or entry changed,

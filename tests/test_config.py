@@ -1,9 +1,12 @@
 import random
+import re
 import statistics
 
 import pytest
 
 from cbrsim.config import (
+    _MINIMA,
+    _POSITIVE_FIELDS,
     Protocol,
     ScenarioConfig,
     generate_initial_placement,
@@ -137,6 +140,48 @@ def test_constructor_rejects_a_value_of_the_wrong_type(key, value, constraint):
     # The string "false" is truthy: accepted, it would turn fading on.
     with pytest.raises(ConfigError, match=f"constraint violated: {constraint} "):
         ScenarioConfig(**{key: value})
+
+
+# One out-of-range value per bounded field, with the constraint it breaks.
+BOUND_CASES = [
+    ("node_count", 1, "node_count >= 2"),
+    ("pause_time", -1.0, "pause_time >= 0"),
+    ("flow_count", 0, "flow_count >= 1"),
+    ("queue_capacity", 0, "queue_capacity >= 1"),
+    ("formation_grace", -0.5, "formation_grace >= 0"),
+    ("rreq_max_retries", -1, "rreq_max_retries >= 0"),
+    ("traffic_start", -1.0, "traffic_start >= 0"),
+    ("packet_size", 0, "packet_size > 0"),
+    *[
+        (name, 0.0, f"{name} > 0")
+        for name in (
+            "area_width", "area_height", "tx_range", "sim_duration", "hello_interval",
+            "neighbor_timeout", "packet_rate", "link_rate", "tx_power", "rreq_timeout",
+        )
+    ],
+]
+
+
+@pytest.mark.parametrize("key, value, constraint", BOUND_CASES, ids=[c[0] for c in BOUND_CASES])
+def test_constructor_rejects_a_value_out_of_its_bound(key, value, constraint):
+    with pytest.raises(ConfigError, match=re.escape(f"constraint violated: {constraint} (")):
+        ScenarioConfig(**{key: value})
+
+
+def test_bound_cases_cover_every_bounded_field():
+    assert {c[0] for c in BOUND_CASES} == _MINIMA.keys() | set(_POSITIVE_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "overrides, constraint",
+    [({"min_speed": 5.0, "max_speed": 2.0}, "0 < min_speed <= max_speed"),
+     ({"min_speed": 0.0, "max_speed": 10.0}, "0 < min_speed <= max_speed"),
+     ({"traffic_start": 10.0, "traffic_stop": 5.0}, "traffic_start <= traffic_stop")],
+    ids=["min-above-max", "moving-with-zero-min", "stop-before-start"],
+)
+def test_constructor_rejects_an_inverted_pair(overrides, constraint):
+    with pytest.raises(ConfigError, match=re.escape(f"constraint violated: {constraint} (")):
+        ScenarioConfig(**overrides)
 
 
 def test_constructor_keeps_an_int_for_a_float_field_and_none_for_an_optional():

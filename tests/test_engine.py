@@ -412,6 +412,14 @@ def test_hello_tables_share_six_link_role_values_over_a_desk_run(protocol):
     assert len({id(value) for value in values}) <= 6
 
 
+@pytest.mark.parametrize("count", [2, 4], ids=["short", "long"])
+def test_placement_of_the_wrong_length_is_refused(count):
+    # Unchecked, a long placement runs four nodes under a three-node config.
+    cfg = static_cfg(node_count=3, flow_count=1)
+    with pytest.raises(ValueError, match="placement length must equal node_count"):
+        Simulation(cfg, placement=[(50.0 + 100.0 * i, 50.0) for i in range(count)])
+
+
 def test_hello_reaches_a_node_exactly_at_range(monkeypatch):
     # The range disc is closed: a node exactly tx_range away hears the hello,
     # one a centimetre beyond does not.

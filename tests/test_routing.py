@@ -33,7 +33,7 @@ from conftest import (
 
 
 def member_state(node_id, head_id, **kw):
-    state = make_state(node_id, role=Role.MEMBER, head_ids={head_id}, **kw)
+    state = make_state(node_id, role=Role.MEMBER, **kw)
     add_neighbor(state, head_id, role=Role.CLUSTER_HEAD)
     return state
 
@@ -53,7 +53,7 @@ def rreq(target, route, next_hop=0, seen=None):
 
 
 def test_member_unicasts_one_copy_per_head():
-    state = make_state(4, role=Role.MEMBER, head_ids={1, 2})
+    state = make_state(4, role=Role.MEMBER)
     add_neighbor(state, 1, role=Role.CLUSTER_HEAD)
     add_neighbor(state, 2, role=Role.CLUSTER_HEAD)
     router = RouterState()
@@ -82,8 +82,19 @@ def test_headless_source_cannot_originate():
     assert result.packets == []
 
 
+def test_undecided_source_with_an_adjacent_head_cannot_originate():
+    # In warm-up an undecided node can already list a bidirectional head; it
+    # has not joined it, so it sends no request.
+    state = make_state(4)
+    add_neighbor(state, 1, role=Role.CLUSTER_HEAD)
+    result = originate_rreq(RouterState(), state, target=9)
+    assert state.role is Role.UNDECIDED and state.adjacent_heads == {1}
+    assert result.installed is None
+    assert result.packets == []
+
+
 def test_head_source_processes_locally_without_unicast_hop():
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
+    head = make_state(1, role=Role.CLUSTER_HEAD)
     add_neighbor(
         head, 4, role=Role.MEMBER,
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
@@ -110,11 +121,11 @@ def test_duplicate_request_dropped():
 def test_flood_reaching_a_node_twice_is_dropped_but_a_new_flood_is_not():
     # Source 4 is a member of heads 1 and 2; both heads relay through member 3,
     # which hears foreign head 6.
-    source = make_state(4, role=Role.MEMBER, head_ids={1, 2})
+    source = make_state(4, role=Role.MEMBER)
     heads = []
     for hid in (1, 2):
         add_neighbor(source, hid, role=Role.CLUSTER_HEAD)
-        head = make_state(hid, role=Role.CLUSTER_HEAD, head_ids={hid})
+        head = make_state(hid, role=Role.CLUSTER_HEAD)
         add_neighbor(
             head, 3, role=Role.MEMBER,
             advertised_neighbors={hid: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
@@ -154,7 +165,7 @@ def test_target_replies_with_completed_route():
 
 
 def test_node_with_target_as_bidirectional_neighbor_replies():
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
+    head = make_state(1, role=Role.CLUSTER_HEAD)
     add_neighbor(head, 5, role=Role.MEMBER)
     result = process_rreq(head, rreq(5, (9,)))
     assert result.reply.route == (9, 1, 5)
@@ -163,7 +174,7 @@ def test_node_with_target_as_bidirectional_neighbor_replies():
 
 
 def test_head_forwards_one_copy_per_neighboring_cluster():
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
+    head = make_state(1, role=Role.CLUSTER_HEAD)
     # two members reach the same foreign head 6: only the lowest-id relays
     for mid in (3, 4):
         add_neighbor(
@@ -196,7 +207,7 @@ HEAD = {1: (True, Role.CLUSTER_HEAD)}  # a member's table entry for its head 1
     ],
 )
 def test_head_copies_only_toward_other_clusters(neighbors, copies):
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
+    head = make_state(1, role=Role.CLUSTER_HEAD)
     for nid, (role, table) in neighbors.items():
         add_neighbor(head, nid, role=role, advertised_neighbors=table)
     result = process_rreq(head, rreq(42, (9,)))
@@ -204,7 +215,7 @@ def test_head_copies_only_toward_other_clusters(neighbors, copies):
 
 
 def test_head_skips_clusters_already_on_route():
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
+    head = make_state(1, role=Role.CLUSTER_HEAD)
     add_neighbor(
         head, 3, role=Role.MEMBER,
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 6: (True, Role.CLUSTER_HEAD)},
@@ -215,7 +226,7 @@ def test_head_skips_clusters_already_on_route():
 
 def test_border_member_relays_toward_foreign_cluster():
     # gateway pair: member 3 of head 1 hears member 7 of some other cluster
-    head = make_state(1, role=Role.CLUSTER_HEAD, head_ids={1})
+    head = make_state(1, role=Role.CLUSTER_HEAD)
     add_neighbor(
         head, 3, role=Role.MEMBER,
         advertised_neighbors={1: (True, Role.CLUSTER_HEAD), 7: (True, Role.MEMBER)},
@@ -287,13 +298,14 @@ def scanned_forward_targets(cluster, route):
                     borders.add(mid)
         return sorted(direct | set(gateway_for.values()) | borders)
     if cluster.role is Role.MEMBER:
+        own_heads = scanned_heads(cluster)
         out = set()
         for nid, e in cluster.neighbors.items():
             if not e.bidirectional or nid in exclude:
                 continue
             if e.role is Role.CLUSTER_HEAD:
                 out.add(nid)
-            elif e.role is Role.MEMBER and e.advertised_heads.isdisjoint(cluster.head_ids):
+            elif e.role is Role.MEMBER and e.advertised_heads.isdisjoint(own_heads):
                 out.add(nid)
         return sorted(out)
     return []
@@ -337,7 +349,6 @@ def relay_states(draw, size=12):
     for nid, bidir, nrole in draw(st.lists(changes)):
         if nid in state.neighbors:
             set_link_role(state, state.neighbors[nid], bidir, nrole)
-    state.head_ids = {0} if role is Role.CLUSTER_HEAD else scanned_heads(state)
     return state
 
 
