@@ -34,11 +34,11 @@ and role a hello reports match the entry.  Such a receipt writes neither the
 entry's link and role nor the adjacent sets.  For a member, or a head with no
 adjacent head, it skips the election step and its invariant check as well, and
 so does an expiry scan that removes nothing.  That step would read only the
-role and ``adjacent_heads``; only ``set_link_role``, an expiry removal or an
-earlier step writes them, so the last step that ran already left the outcome
-(a skipped step returns its role's shared ``_UNCHANGED`` one) and the
-invariants as they stand.  Undecided nodes and heads with an adjacent head also read the time and
-advertised mobility, so they step on every receipt and scan.
+role and ``adjacent_heads``, which only ``set_link_role``, an expiry removal or
+an earlier step writes, so the last step that ran already left the outcome (a
+skipped step returns its role's shared ``_UNCHANGED`` one) and the invariants
+as they stand.  Undecided nodes and heads with an adjacent head also read the
+time and advertised mobility, so they step on every receipt and scan.
 
 Each node keeps, in place rather than rescanning its table per election or
 per relayed route request, its neighbors that have a bidirectional link and
